@@ -30,9 +30,6 @@ from .itemsets import items_of, mask_of, popcount_table
 from .strategies import BidContext, Strategy
 from .valuations import Valuation
 
-# Masked-price lookup tables are built only for universes this small.
-MASKSUM_LIMIT = 14
-
 
 @dataclass(frozen=True)
 class Draw:
@@ -216,8 +213,10 @@ def run_auction(
     given, is called after every settled round with (t, prices_after,
     provisional_masks); the masks list is live and must not be mutated.
 
-    Raises Divergence (carrying the partial outcome) if the auction is
-    still live after max_rounds rounds.
+    Raises OracleTooLarge before round 0 if the universe is too large for
+    the bundle tables (see valuations.TABLE_LIMIT), and Divergence
+    (carrying the partial outcome) if the auction is still live after
+    max_rounds rounds.
     """
     n = len(valuations)
     if n == 0:
@@ -233,9 +232,8 @@ def run_auction(
     if max_rounds is None:
         max_rounds = default_max_rounds(valuations)
 
-    use_tables = m <= MASKSUM_LIMIT
-    value_tables = [v.value_table() if use_tables else None for v in valuations]
-    popcounts = popcount_table(m) if use_tables else None
+    value_tables = [v.value_table() for v in valuations]
+    popcounts = popcount_table(m)
 
     prices = [0] * m
     owners = [-1] * m
@@ -255,7 +253,7 @@ def run_auction(
             own_bid_history=own_bid_histories[i],
             m=m,
             value_table=value_tables[i],
-            price_sums=None,
+            price_sums=(),  # filled in at the top of every round
             popcounts=popcounts,
         )
         for i in range(n)
@@ -269,7 +267,7 @@ def run_auction(
     t = 0
     while True:
         current_prices = price_history[-1]
-        price_sums = masked_price_sums(prices, m) if use_tables else None
+        price_sums = masked_price_sums(prices, m)
         for i in bidders:
             ctx = contexts[i]
             ctx.t = t

@@ -15,16 +15,12 @@ from math import inf
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
-from .itemsets import full_mask, items_of, mask_size, submasks
-from .mechanism import AuctionOutcome, masked_price_sums
+from .itemsets import items_of, iter_items, mask_size, submasks
+from .mechanism import AuctionOutcome
 from .valuations import Valuation
 
 # The assignment DP touches n * 3**m (bidder, bundle-in-context) pairs.
 OPS_LIMIT = 50_000_000
-ORACLE_MAX_ITEMS = 16
-
-# Masked-sum tables for rationality scans are built on universes this small.
-_SUMS_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,10 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
             raise UniverseMismatch(
                 f"valuations disagree on universe size: {m} vs {v.universe_size}"
             )
-    if m > ORACLE_MAX_ITEMS or n * 3**m > OPS_LIMIT:
+    if n * 3**m > OPS_LIMIT:
         raise OracleTooLarge(
             f"assignment DP needs {n} * 3**{m} bundle evaluations; "
-            f"limit is m <= {ORACLE_MAX_ITEMS} and n * 3**m <= {OPS_LIMIT}"
+            f"limit is n * 3**m <= {OPS_LIMIT}"
         )
 
     size = 1 << m
@@ -201,57 +197,26 @@ def measure_rationality(
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")
-    m = valuations[0].universe_size
-    tables = [
-        v.value_table() if m <= 14 else None for v in valuations
-    ]
+    tables = [v.value_table() for v in valuations]
     overall = _RatioMax()
     full_only = _RatioMax()
     for record in outcome.records:
         prices = record.prices_after
-        sums = masked_price_sums(prices, m) if m <= _SUMS_LIMIT else None
         for i, held in enumerate(record.provisional):
             if not held:
                 continue
             table = tables[i]
-
-            def bundle_price(mask: int) -> int:
-                if sums is not None:
-                    return sums[mask]
-                return sum(prices[j] for j in items_of(mask))
-
-            def bundle_value(mask: int) -> int:
-                if table is not None:
-                    return table[mask]
-                return valuations[i].value(mask)
-
-            p_full = bundle_price(held)
+            p_full = sum(prices[j] for j in iter_items(held))
             if p_full > 0:
-                wit = (record.t, i, items_of(held))
-                full_only.update(p_full, bundle_value(held), wit)
+                full_only.update(p_full, table[held], (record.t, i, items_of(held)))
             if mask_size(held) <= subset_cap:
-                for sub in submasks(held):
-                    if not sub:
-                        continue
-                    p = bundle_price(sub)
-                    if p > 0:
-                        overall.update(
-                            p, bundle_value(sub), (record.t, i, items_of(sub))
-                        )
+                examined = submasks(held)
             else:
-                if p_full > 0:
-                    overall.update(
-                        p_full, bundle_value(held), (record.t, i, items_of(held))
-                    )
-                rest = held
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    p = bundle_price(low)
-                    if p > 0:
-                        overall.update(
-                            p, bundle_value(low), (record.t, i, items_of(low))
-                        )
+                examined = (held, *(1 << j for j in iter_items(held)))
+            for sub in examined:
+                p = sum(prices[j] for j in iter_items(sub))
+                if p > 0:
+                    overall.update(p, table[sub], (record.t, i, items_of(sub)))
 
     lam, witness = overall.result()
     lam_full, witness_full = full_only.result()

@@ -67,7 +67,6 @@ class Scenario:
     name: str
     m: int
     bidders: tuple[BidderSpec, ...]
-    epsilon_label: str = "1"
     events: tuple[TrialEvent, ...] = ()
     metadata: dict = field(default_factory=dict)
 
@@ -95,7 +94,6 @@ class Scenario:
         return {
             "name": self.name,
             "m": self.m,
-            "epsilon_label": self.epsilon_label,
             "bidders": [
                 {
                     "valuation": b.valuation.spec_dict(),
@@ -127,7 +125,6 @@ class Scenario:
             name=self.name,
             m=self.m,
             bidders=tuple(bidders),
-            epsilon_label=self.epsilon_label,
             events=self.events,
             metadata=dict(self.metadata),
         )
@@ -152,7 +149,6 @@ def scenario_from_spec(spec: dict) -> Scenario:
         name=spec["name"],
         m=m,
         bidders=tuple(bidders),
-        epsilon_label=str(spec.get("epsilon_label", "1")),
     )
 
 

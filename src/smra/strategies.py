@@ -21,28 +21,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import InsecureProvisionalState
-from .itemsets import (
-    full_mask,
-    items_of,
-    iter_items,
-    mask_of,
-    mask_size,
-    popcount_table,
-    submasks,
-)
+from .itemsets import full_mask, items_of, iter_items, mask_of, submasks
 from .valuations import Valuation
 
 SECURE_VARIANTS = ("incremented", "posted")
 LOCAL_STARTS = ("previous", "empty")
-
-
-@lru_cache(maxsize=None)
-def _popcounts(m: int) -> tuple[int, ...]:
-    return tuple(popcount_table(m))
 
 
 @dataclass(slots=True)
@@ -51,11 +37,11 @@ class BidContext:
 
     price_history[t] is the price vector entering round t; own_set_history
     and own_bid_history are this bidder's holdings entering each round and
-    the bids she made. value_table, price_sums and popcounts are optional
+    the bids she made. value_table, price_sums and popcounts are
     mask-indexed lookup tables (worth of every bundle; posted price of
-    every bundle; bundle sizes) that the runner provides on small
-    universes; strategies fall back to direct evaluation without them. The history sequences are live views
-    shared with the runner and must not be mutated.
+    every bundle; bundle sizes). The runner always supplies them, and
+    every rule prices bundles through them alone. The history sequences
+    are live views shared with the runner and must not be mutated.
     """
 
     bidder: int
@@ -67,26 +53,19 @@ class BidContext:
     own_set_history: Sequence[int]
     own_bid_history: Sequence[int]
     m: int
-    value_table: Optional[Sequence[int]] = None
-    price_sums: Optional[Sequence[int]] = None
-    popcounts: Optional[Sequence[int]] = None
+    value_table: Sequence[int]
+    price_sums: Sequence[int]
+    popcounts: Sequence[int]
 
     def value(self, mask: int) -> int:
-        table = self.value_table
-        if table is not None:
-            return table[mask]
-        return self.valuation.value(mask)
+        return self.value_table[mask]
 
     def posted_price(self, mask: int) -> int:
-        sums = self.price_sums
-        if sums is not None:
-            return sums[mask]
-        prices = self.prices
-        return sum(prices[j] for j in iter_items(mask))
+        return self.price_sums[mask]
 
     def incremented_price(self, mask: int) -> int:
         """What winning the whole bid would cost: posted + 1 per item."""
-        return self.posted_price(mask) + mask_size(mask)
+        return self.price_sums[mask] + self.popcounts[mask]
 
     def surplus(self, bid: int) -> int:
         """Conditional surplus of a bid on top of current holdings."""
@@ -112,38 +91,20 @@ def truthful_bid(ctx: BidContext) -> int:
     comp = full_mask(ctx.m) & ~own
     table = ctx.value_table
     sums = ctx.price_sums
-    if table is not None and sums is not None:
-        pc = ctx.popcounts or _popcounts(ctx.m)
-        best_u = table[own]
-        best_card = 0
-        best_mask = 0
-        sub = comp
-        while sub:
-            u = table[own | sub] - sums[sub] - pc[sub]
-            if u > best_u:
-                best_u, best_card, best_mask = u, pc[sub], sub
-            elif u == best_u:
-                card = pc[sub]
-                if card < best_card or (card == best_card and sub < best_mask):
-                    best_card, best_mask = card, sub
-            sub = (sub - 1) & comp
-        return best_mask
-
-    valuation = ctx.valuation
-    prices = ctx.prices
-    best_u = valuation.value(own)
+    pc = ctx.popcounts
+    best_u = table[own]
     best_card = 0
     best_mask = 0
-    for sub in submasks(comp):
-        if not sub:
-            continue
-        cost = sum(prices[j] + 1 for j in iter_items(sub))
-        u = valuation.value(own | sub) - cost
-        card = mask_size(sub)
-        if u > best_u or (
-            u == best_u and (card < best_card or (card == best_card and sub < best_mask))
-        ):
-            best_u, best_card, best_mask = u, card, sub
+    sub = comp
+    while sub:
+        u = table[own | sub] - sums[sub] - pc[sub]
+        if u > best_u:
+            best_u, best_card, best_mask = u, pc[sub], sub
+        elif u == best_u:
+            card = pc[sub]
+            if card < best_card or (card == best_card and sub < best_mask):
+                best_card, best_mask = card, sub
+        sub = (sub - 1) & comp
     return best_mask
 
 
@@ -160,19 +121,10 @@ def _climb(ctx: BidContext, start: int, comp: int, own: int) -> tuple[int, int]:
     """
     table = ctx.value_table
     sums = ctx.price_sums
-    if table is not None and sums is not None:
-        pc = ctx.popcounts or _popcounts(ctx.m)
+    pc = ctx.popcounts
 
-        def util(mask: int) -> int:
-            return table[own | mask] - sums[mask] - pc[mask]
-
-    else:
-        valuation = ctx.valuation
-        prices = ctx.prices
-
-        def util(mask: int) -> int:
-            cost = sum(prices[j] + 1 for j in iter_items(mask))
-            return valuation.value(own | mask) - cost
+    def util(mask: int) -> int:
+        return table[own | mask] - sums[mask] - pc[mask]
 
     current = start
     u = util(current)
@@ -232,25 +184,16 @@ def locally_optimal_bid(ctx: BidContext, start: str = "previous") -> int:
 
 
 def is_locally_optimal(ctx: BidContext, bid: int) -> bool:
-    """Whether no single add, delete, or swap strictly improves the bid."""
+    """Whether no single add, delete, or swap strictly improves the bid.
+
+    The climb only takes strictly improving moves, so it stays put exactly
+    when the bid it starts from has no improving neighbor.
+    """
     own = ctx.own_set
     comp = full_mask(ctx.m) & ~own
     if bid & ~comp:
         return False
-    u = ctx.surplus(bid)
-    for j in iter_items(bid):
-        if ctx.surplus(bid ^ (1 << j)) > u:
-            return False
-    outside = comp & ~bid
-    for j in iter_items(outside):
-        if ctx.surplus(bid | (1 << j)) > u:
-            return False
-    for out in iter_items(bid):
-        base = bid ^ (1 << out)
-        for inn in iter_items(outside):
-            if ctx.surplus(base | (1 << inn)) > u:
-                return False
-    return True
+    return _climb(ctx, bid, comp, own)[0] == bid
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +215,10 @@ def is_secure(ctx: BidContext, bid: int, variant: str = "incremented") -> bool:
     reach = own | bid
     table = ctx.value_table
     sums = ctx.price_sums
-    if table is not None and sums is not None:
-        pc = ctx.popcounts or _popcounts(ctx.m)
-        for sub in submasks(reach):
-            personalized = sums[sub] + (pc[sub & ~own] if increment else 0)
-            if table[sub] < personalized:
-                return False
-        return True
-    valuation = ctx.valuation
-    prices = ctx.prices
+    pc = ctx.popcounts
     for sub in submasks(reach):
-        personalized = sum(prices[j] for j in iter_items(sub))
-        if increment:
-            personalized += mask_size(sub & ~own)
-        if valuation.value(sub) < personalized:
+        personalized = sums[sub] + (pc[sub & ~own] if increment else 0)
+        if table[sub] < personalized:
             return False
     return True
 
@@ -306,71 +239,43 @@ def profit_max_secure_bid(ctx: BidContext, variant: str = "incremented") -> int:
     comp = full_mask(m) & ~own
     table = ctx.value_table
     sums = ctx.price_sums
-
-    if table is not None and sums is not None:
-        increment = variant == "incremented"
-        pc = ctx.popcounts or _popcounts(m)
-        size = 1 << m
-        # contaminated[X]: some subset of X is priced above its worth, so
-        # no bid whose reach includes X can be secure.
-        contaminated = bytearray(size)
-        for x in range(size):
-            personalized = sums[x] + (pc[x & ~own] if increment else 0)
-            if table[x] < personalized:
+    pc = ctx.popcounts
+    increment = variant == "incremented"
+    size = 1 << m
+    # contaminated[X]: some subset of X is priced above its worth, so no
+    # bid whose reach includes X can be secure.
+    contaminated = bytearray(size)
+    for x in range(size):
+        personalized = sums[x] + (pc[x & ~own] if increment else 0)
+        if table[x] < personalized:
+            contaminated[x] = 1
+            continue
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if contaminated[x ^ low]:
                 contaminated[x] = 1
-                continue
-            rest = x
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if contaminated[x ^ low]:
-                    contaminated[x] = 1
-                    break
-        if contaminated[own]:
-            witness = next(
-                sub for sub in submasks(own)
-                if table[sub] < sums[sub]
-            )
-            raise InsecureProvisionalState(ctx.bidder, witness)
-        best_u = table[own]
-        best_mask = 0
-        best_card = 0
-        sub = comp
-        while sub:
-            if not contaminated[own | sub]:
-                u = table[own | sub] - sums[sub] - pc[sub]
-                if u > best_u:
-                    best_u, best_card, best_mask = u, pc[sub], sub
-                elif u == best_u:
-                    card = pc[sub]
-                    if best_mask == 0 or card < best_card or (
-                        card == best_card and sub < best_mask
-                    ):
-                        best_card, best_mask = card, sub
-            sub = (sub - 1) & comp
-        return best_mask
-
-    if not is_secure(ctx, 0, variant):
-        witness = next(
-            sub for sub in submasks(own)
-            if ctx.valuation.value(sub) < ctx.posted_price(sub)
-        )
+                break
+    if contaminated[own]:
+        witness = next(sub for sub in submasks(own) if table[sub] < sums[sub])
         raise InsecureProvisionalState(ctx.bidder, witness)
-    best_u = ctx.value(own)
+    best_u = table[own]
     best_mask = 0
     best_card = 0
-    for sub in submasks(comp):
-        if not sub or not is_secure(ctx, sub, variant):
-            continue
-        u = ctx.value(own | sub) - ctx.incremented_price(sub)
-        card = mask_size(sub)
-        if u > best_u:
-            best_u, best_card, best_mask = u, card, sub
-        elif u == best_u:
-            if best_mask == 0 or card < best_card or (
-                card == best_card and sub < best_mask
-            ):
-                best_card, best_mask = card, sub
+    sub = comp
+    while sub:
+        if not contaminated[own | sub]:
+            u = table[own | sub] - sums[sub] - pc[sub]
+            if u > best_u:
+                best_u, best_card, best_mask = u, pc[sub], sub
+            elif u == best_u:
+                card = pc[sub]
+                if best_mask == 0 or card < best_card or (
+                    card == best_card and sub < best_mask
+                ):
+                    best_card, best_mask = card, sub
+        sub = (sub - 1) & comp
     return best_mask
 
 

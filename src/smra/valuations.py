@@ -30,7 +30,9 @@ from .itemsets import full_mask, items_of, iter_items, mask_size
 
 RationalLike = Union[int, Fraction]
 
-# value_table() materializes 2**m entries; beyond this it is not a table job.
+# The one bound on 2**m bundle tables. value_table() refuses larger
+# universes, and the engine, the strategies and the rationality scan all
+# price bundles from these tables, so none of them runs beyond it.
 TABLE_LIMIT = 20
 
 

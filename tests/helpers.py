@@ -1,8 +1,10 @@
 """Shared test helpers: independent brute-force oracles and context builders.
 
 The oracles here are deliberately naive re-implementations (triple
-enumeration, full assignment enumeration) so the package's optimized
-algorithms are checked against code with no shared logic.
+enumeration, full assignment enumeration, every bid of every bidding rule
+scored with valuation.value() and item-by-item price sums) so the
+package's optimized algorithms are checked against code with no shared
+logic.
 """
 
 from __future__ import annotations
@@ -59,6 +61,130 @@ def naive_optimal(valuations: Sequence[Valuation]) -> int:
     return best
 
 
+def naive_price(prices: Sequence[int], bundle: int, own: int = 0,
+                increment: bool = False) -> int:
+    """Posted price of a bundle, plus one increment per item outside
+    `own` when `increment` is set, summed item by item."""
+    total = 0
+    for j, price in enumerate(prices):
+        if (bundle >> j) & 1:
+            total += price
+            if increment and not (own >> j) & 1:
+                total += 1
+    return total
+
+
+def _size(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _bids(m: int, own: int) -> list[int]:
+    """Every bid: every bundle of the universe that avoids the holdings."""
+    return [bid for bid in range(1 << m) if not bid & own]
+
+
+def naive_utility(valuation: Valuation, prices: Sequence[int], own: int,
+                  bid: int) -> int:
+    """v(own + bid) minus what winning the whole bid costs."""
+    return valuation.value(own | bid) - naive_price(prices, bid, 0, True)
+
+
+def naive_truthful(valuation: Valuation, prices: Sequence[int],
+                   own: int = 0) -> int:
+    """Best bid by utility; ties go to fewer items, then the smaller mask."""
+    return min(
+        _bids(valuation.universe_size, own),
+        key=lambda bid: (-naive_utility(valuation, prices, own, bid),
+                         _size(bid), bid),
+    )
+
+
+def naive_moves(m: int, own: int, bid: int) -> list[tuple[tuple, int]]:
+    """(rank, neighbor) for every single delete, add and swap of a bid;
+    ranks order deletes before adds before swaps, then by item."""
+    inside = [j for j in range(m) if (bid >> j) & 1]
+    outside = [j for j in range(m) if not ((bid | own) >> j) & 1]
+    moves = [((0, j), bid ^ (1 << j)) for j in inside]
+    moves += [((1, j), bid | (1 << j)) for j in outside]
+    moves += [((2, out, inn), (bid ^ (1 << out)) | (1 << inn))
+              for out in inside for inn in outside]
+    return moves
+
+
+def naive_is_locally_optimal(valuation: Valuation, prices: Sequence[int],
+                             own: int, bid: int) -> bool:
+    """Whether the bid avoids the holdings and no single move beats it."""
+    m = valuation.universe_size
+    if bid & own or bid >> m:
+        return False
+    u = naive_utility(valuation, prices, own, bid)
+    return all(naive_utility(valuation, prices, own, cand) <= u
+               for _, cand in naive_moves(m, own, bid))
+
+
+def naive_locally_optimal(valuation: Valuation, prices: Sequence[int],
+                          own: int = 0, prev_bid: Optional[int] = None,
+                          start: str = "previous") -> int:
+    """The hill-climbing rule, move by move: take the best strictly
+    improving move (ties by rank) until none is left, starting from the
+    previous bid (minus holdings) or the empty bid; redo the climb from
+    empty when it ends on a non-empty bid without positive surplus."""
+    m = valuation.universe_size
+
+    def util(bid):
+        return naive_utility(valuation, prices, own, bid)
+
+    def climb(bid):
+        while True:
+            scored = [(util(cand) - util(bid), rank, cand)
+                      for rank, cand in naive_moves(m, own, bid)]
+            best = min(scored, key=lambda s: (-s[0], s[1]), default=None)
+            if best is None or best[0] <= 0:
+                return bid
+            bid = best[2]
+
+    first = 0
+    if start == "previous" and prev_bid is not None:
+        first = prev_bid & ~own
+    bid = climb(first)
+    if bid and util(bid) <= valuation.value(own):
+        bid = climb(0)
+    return bid
+
+
+def naive_is_secure(valuation: Valuation, prices: Sequence[int], own: int,
+                    bid: int, variant: str = "incremented") -> bool:
+    """Whether every subset of holdings plus bid is worth its personalized
+    price (newly bid items carry the increment unless `variant` is
+    "posted")."""
+    reach = own | bid
+    return all(
+        valuation.value(sub)
+        >= naive_price(prices, sub, own, variant == "incremented")
+        for sub in range(reach + 1) if not sub & ~reach
+    )
+
+
+def naive_profit_max_secure(valuation: Valuation, prices: Sequence[int],
+                            own: int = 0, variant: str = "incremented"):
+    """Best secure bid by utility; ties go to bidding over quitting, then
+    fewer items, then the smaller mask. Returns ("insecure", witness) when
+    the holdings already contain an overpriced subset, the witness being
+    the largest such subset mask."""
+    overpriced = [sub for sub in range(own, -1, -1)
+                  if not sub & ~own
+                  and valuation.value(sub) < naive_price(prices, sub)]
+    if overpriced:
+        return ("insecure", overpriced[0])
+    secure = [bid for bid in _bids(valuation.universe_size, own)
+              if naive_is_secure(valuation, prices, own, bid, variant)]
+    return min(
+        secure,
+        key=lambda bid: (-naive_utility(valuation, prices, own, bid),
+                         bid == 0, _size(bid), bid),
+    )
+
+
 def make_ctx(
     valuation: Valuation,
     prices: Sequence[int],
@@ -66,13 +192,11 @@ def make_ctx(
     t: int = 0,
     prev_bid: Optional[int] = None,
     bidder: int = 0,
-    tables: bool = True,
 ) -> BidContext:
     """A self-consistent BidContext for strategy-level tests.
 
     Histories are padded with the current prices/holdings; prev_bid
-    seeds the bid history (t entries). tables=False exercises the
-    table-free evaluation paths.
+    seeds the bid history (t entries).
     """
     m = valuation.universe_size
     prices = tuple(prices)
@@ -89,7 +213,7 @@ def make_ctx(
         own_set_history=own_set_history,
         own_bid_history=own_bid_history,
         m=m,
-        value_table=valuation.value_table() if tables else None,
-        price_sums=masked_price_sums(prices, m) if tables else None,
-        popcounts=popcount_table(m) if tables else None,
+        value_table=valuation.value_table(),
+        price_sums=masked_price_sums(prices, m),
+        popcounts=popcount_table(m),
     )

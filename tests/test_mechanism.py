@@ -12,6 +12,7 @@ from smra import (
     CallableStrategy,
     Divergence,
     InvalidBid,
+    OracleTooLarge,
     ScriptedStrategy,
     TableValuation,
     TraceMismatch,
@@ -237,6 +238,12 @@ def test_run_auction_rejects_bad_configurations():
             (AdditiveValuation((1,)), AdditiveValuation((1, 2))),
             (TruthfulStrategy(), TruthfulStrategy()),
         )
+    # 21 items is past TABLE_LIMIT: refused before any bidder is asked
+    calls = []
+    recorder = CallableStrategy(lambda ctx: calls.append(ctx.t) or 0)
+    with pytest.raises(OracleTooLarge):
+        run_auction((AdditiveValuation((1,) * 21),), (recorder,))
+    assert calls == []
 
 
 def test_run_auction_polices_strategy_output():

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_ctx, naive_degree
+from helpers import (
+    make_ctx,
+    naive_degree,
+    naive_is_locally_optimal,
+    naive_is_secure,
+    naive_locally_optimal,
+    naive_profit_max_secure,
+    naive_truthful,
+)
 from smra import (
     AdditiveValuation,
     InsecureProvisionalState,
@@ -174,28 +182,27 @@ def test_truthful_bids_are_always_locally_optimal(case):
 @settings(max_examples=60, deadline=None)
 @given(bid_contexts(), st.sampled_from(["incremented", "posted"]))
 def test_table_and_generic_paths_always_agree(case, variant):
+    # the generic side is the brute-force reference in helpers
     valuation, prices, own, prev = case
-    fast = make_ctx(valuation, prices, own=own, t=1, prev_bid=prev)
-    slow = make_ctx(
-        valuation, prices, own=own, t=1, prev_bid=prev, tables=False
-    )
-    assert truthful_bid(fast) == truthful_bid(slow)
+    ctx = make_ctx(valuation, prices, own=own, t=1, prev_bid=prev)
+    assert truthful_bid(ctx) == naive_truthful(valuation, prices, own)
     for start in ("previous", "empty"):
-        assert locally_optimal_bid(fast, start) == locally_optimal_bid(slow, start)
-    probe = prev if prev else ((1 << valuation.universe_size) - 1) & ~own
-    assert is_secure(fast, probe, variant) == is_secure(slow, probe, variant)
+        assert locally_optimal_bid(ctx, start) == naive_locally_optimal(
+            valuation, prices, own, prev, start
+        )
+    for bid in range(1 << valuation.universe_size):
+        assert is_locally_optimal(ctx, bid) == naive_is_locally_optimal(
+            valuation, prices, own, bid
+        )
+        if not bid & own:
+            assert is_secure(ctx, bid, variant) == naive_is_secure(
+                valuation, prices, own, bid, variant
+            )
     try:
-        fast_bid = profit_max_secure_bid(fast, variant)
-        fast_raise = None
+        fast = profit_max_secure_bid(ctx, variant)
     except InsecureProvisionalState as exc:
-        fast_bid, fast_raise = None, exc.witness_mask
-    try:
-        slow_bid = profit_max_secure_bid(slow, variant)
-        slow_raise = None
-    except InsecureProvisionalState as exc:
-        slow_bid, slow_raise = None, exc.witness_mask
-    assert fast_bid == slow_bid
-    assert fast_raise == slow_raise
+        fast = ("insecure", exc.witness_mask)
+    assert fast == naive_profit_max_secure(valuation, prices, own, variant)
 
 
 # ---------------------------------------------------------------------------

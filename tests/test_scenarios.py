@@ -181,8 +181,14 @@ def test_builtin_lookup():
 
 
 def test_scenario_spec_round_trip():
-    for sc in (build_superadditive(50), build_local_tight(1, 1, 2, 3, 1)):
-        spec = sc.spec_dict()
+    cases = [
+        (build_superadditive(50), {}),
+        (build_local_tight(1, 1, 2, 3, 1), {}),
+        # older scenario files carry an epsilon_label, which is ignored
+        (build_superadditive(50), {"epsilon_label": "1"}),
+    ]
+    for sc, legacy in cases:
+        spec = {**sc.spec_dict(), **legacy}
         rebuilt = scenario_from_spec(json.loads(json.dumps(spec)))
         assert rebuilt.name == sc.name
         assert rebuilt.m == sc.m

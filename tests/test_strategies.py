@@ -1,8 +1,20 @@
-"""Bidding rules: truthful, hill-climbing, secure, scripted, and adapters."""
+"""Bidding rules: truthful, hill-climbing, secure, scripted, and adapters.
+
+The *_table_and_generic_paths_agree tests check each rule, which prices
+bundles from the context's tables, against the brute-force reference in
+helpers, which evaluates valuation.value() and sums prices item by item.
+"""
 
 import pytest
 
-from helpers import make_ctx
+from helpers import (
+    make_ctx,
+    naive_is_secure,
+    naive_locally_optimal,
+    naive_price,
+    naive_profit_max_secure,
+    naive_truthful,
+)
 from smra import (
     AdditiveValuation,
     CallableStrategy,
@@ -42,11 +54,13 @@ def test_context_price_and_surplus_arithmetic():
 
 
 def test_context_tables_match_direct_evaluation():
-    with_tables = make_ctx(PAIR, (3, 5), own=0b01)
-    without = make_ctx(PAIR, (3, 5), own=0b01, tables=False)
+    ctx = make_ctx(PAIR, (3, 5), own=0b01)
     for mask in range(4):
-        assert with_tables.value(mask) == without.value(mask)
-        assert with_tables.posted_price(mask) == without.posted_price(mask)
+        assert ctx.value(mask) == PAIR.value(mask)
+        assert ctx.posted_price(mask) == naive_price((3, 5), mask)
+        assert ctx.incremented_price(mask) == naive_price(
+            (3, 5), mask, increment=True
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +99,7 @@ def test_truthful_ties_break_toward_the_smallest_mask():
 )
 def test_truthful_table_and_generic_paths_agree(valuation, prices, own):
     fast = truthful_bid(make_ctx(valuation, prices, own=own))
-    slow = truthful_bid(make_ctx(valuation, prices, own=own, tables=False))
-    assert fast == slow
+    assert fast == naive_truthful(valuation, prices, own)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +142,7 @@ def test_local_table_and_generic_paths_agree(start):
         fast = locally_optimal_bid(
             make_ctx(CLUSTER, prices, own=own, t=1, prev_bid=prev), start
         )
-        slow = locally_optimal_bid(
-            make_ctx(CLUSTER, prices, own=own, t=1, prev_bid=prev,
-                     tables=False),
-            start,
-        )
-        assert fast == slow
+        assert fast == naive_locally_optimal(CLUSTER, prices, own, prev, start)
 
 
 def test_is_locally_optimal():
@@ -208,10 +216,7 @@ def test_secure_table_and_generic_paths_agree(variant):
     ]
     for valuation, prices, own, bid in cases:
         fast = is_secure(make_ctx(valuation, prices, own=own), bid, variant)
-        slow = is_secure(
-            make_ctx(valuation, prices, own=own, tables=False), bid, variant
-        )
-        assert fast == slow
+        assert fast == naive_is_secure(valuation, prices, own, bid, variant)
 
 
 def test_profit_max_takes_the_pair_then_retreats():
@@ -239,12 +244,12 @@ def test_profit_max_matches_truthful_when_everything_is_safe():
 
 def test_overpriced_holdings_raise_with_a_witness():
     v = AdditiveValuation((1, 5))
-    for tables in (True, False):
-        ctx = make_ctx(v, (2, 0), own=0b01, tables=tables)
-        with pytest.raises(InsecureProvisionalState) as exc_info:
-            profit_max_secure_bid(ctx)
-        assert exc_info.value.bidder == 0
-        assert exc_info.value.witness_mask == 0b01
+    ctx = make_ctx(v, (2, 0), own=0b01)
+    with pytest.raises(InsecureProvisionalState) as exc_info:
+        profit_max_secure_bid(ctx)
+    assert exc_info.value.bidder == 0
+    assert exc_info.value.witness_mask == 0b01
+    assert naive_profit_max_secure(v, (2, 0), 0b01) == ("insecure", 0b01)
 
 
 @pytest.mark.parametrize("variant", ["incremented", "posted"])
@@ -260,10 +265,7 @@ def test_profit_max_table_and_generic_paths_agree(variant):
         fast = profit_max_secure_bid(
             make_ctx(valuation, prices, own=own), variant
         )
-        slow = profit_max_secure_bid(
-            make_ctx(valuation, prices, own=own, tables=False), variant
-        )
-        assert fast == slow
+        assert fast == naive_profit_max_secure(valuation, prices, own, variant)
 
 
 def test_secure_variant_is_validated():
