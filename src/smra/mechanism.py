@@ -27,8 +27,12 @@ from typing import Callable, IO, Optional, Sequence
 
 from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
 from .itemsets import items_of, mask_of, popcount_table
-from .strategies import BidContext, Strategy
+from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation
+
+# Bids one valuation remembers for one rule (see decision_memo); a full
+# memo is emptied and refilled, so a long run's memory stays bounded.
+DECISION_CACHE_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,25 @@ def masked_price_sums(prices: Sequence[int], m: int) -> list[int]:
     return sums
 
 
+def decision_memo(valuation: Valuation, strategy: Strategy) -> dict | None:
+    """The bids this rule has made for this valuation object, keyed by
+    (own set, prices, last bid minus own set or 0), or None when the rule
+    is not memoised (see Strategy.depends_on).
+
+    The memo lives on the valuation object, so it dies with it and is
+    shared by every bidder and trial of the process that holds that
+    object with an equal strategy. It is left out of the valuation's
+    pickled state, so pool workers start empty.
+    """
+    if type(strategy).propose not in MEMOISABLE_PROPOSE:
+        return None
+    memos = getattr(valuation, "_decisions", None)
+    if memos is None:
+        memos = {}
+        object.__setattr__(valuation, "_decisions", memos)
+    return memos.setdefault(strategy, {})
+
+
 def run_auction(
     valuations: Sequence[Valuation],
     strategies: Sequence[Strategy],
@@ -209,7 +232,11 @@ def run_auction(
     """Run a full auction to termination.
 
     Each round every strategy sees a BidContext (current prices, own
-    holdings, full histories) and proposes a bid mask. The observer, if
+    holdings, full histories) and proposes a bid mask. A memoised rule
+    (see decision_memo) that has met its key before gets its remembered
+    bid instead, without a context refresh or a propose call; the price
+    table is built once per round, on the first bidder that misses.
+    Exceptions are never remembered. The observer, if
     given, is called after every settled round with (t, prices_after,
     provisional_masks); the masks list is live and must not be mutated.
 
@@ -253,28 +280,52 @@ def run_auction(
             own_bid_history=own_bid_histories[i],
             m=m,
             value_table=value_tables[i],
-            price_sums=(),  # filled in at the top of every round
+            price_sums=(),  # filled in before every propose call
             popcounts=popcounts,
         )
         for i in range(n)
     ]
     proposers = [s.propose for s in strategies]
+    memos = [decision_memo(v, s) for v, s in zip(valuations, strategies)]
+    # Bits of last round's bid that a memo key keeps: all of them for rules
+    # that depend on the last bid, none for the others.
+    last_bid_bits = [
+        -1 if s.depends_on == "last_bid" else 0 for s in strategies
+    ]
     rng = random.Random(seed)
     randrange = rng.randrange
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
+    bids = [0] * n
 
     t = 0
     while True:
         current_prices = price_history[-1]
-        price_sums = masked_price_sums(prices, m)
+        price_sums = None
+        last_bids = bids
+        bids = []
         for i in bidders:
+            own = provisional[i]
+            memo = memos[i]
+            if memo is not None:
+                key = (own, current_prices, last_bids[i] & last_bid_bits[i] & ~own)
+                bid = memo.get(key)
+                if bid is not None:
+                    bids.append(bid)
+                    continue
+            if price_sums is None:
+                price_sums = masked_price_sums(prices, m)
             ctx = contexts[i]
             ctx.t = t
             ctx.prices = current_prices
-            ctx.own_set = provisional[i]
+            ctx.own_set = own
             ctx.price_sums = price_sums
-        bids = [proposers[i](contexts[i]) for i in bidders]
+            bid = proposers[i](ctx)
+            if memo is not None:
+                if len(memo) >= DECISION_CACHE_LIMIT:
+                    memo.clear()
+                memo[key] = bid
+            bids.append(bid)
 
         union = 0
         for i in bidders:

@@ -37,6 +37,7 @@ from .strategies import (
     strategy_from_spec,
 )
 from .valuations import (
+    TABLE_LIMIT,
     AdditiveValuation,
     PairBonusValuation,
     SymmetricStepValuation,
@@ -271,9 +272,9 @@ def build_local_tight(
     if H <= alpha:
         raise ValueError(f"need H > alpha, got H={H}, alpha={alpha}")
     m = k * n + 1
-    if m > 14:
+    if m > TABLE_LIMIT:
         raise ValueError(
-            f"k*n+1 = {m} items is beyond this scenario's exact-table scale (14)"
+            f"k*n+1 = {m} items is beyond the bundle-table limit ({TABLE_LIMIT})"
         )
     z = m - 1
     bidders = []

@@ -42,6 +42,14 @@ class BidContext:
     every bundle; bundle sizes). The runner always supplies them, and
     every rule prices bundles through them alone. The history sequences
     are live views shared with the runner and must not be mutated.
+
+    The runner refreshes a bidder's context only when it calls propose.
+    The built-in truthful, secure and locally optimal rules are memoised
+    per valuation object, keyed by (own set, prices) -- plus last round's
+    bid minus the own set for local search from the previous bid -- so on
+    a repeated key they are not asked and their context is left as it
+    was. Custom rules (CallableStrategy, wrappers, subclasses overriding
+    propose) and scripted bids are asked every round with a fresh context.
     """
 
     bidder: int
@@ -296,9 +304,20 @@ def scripted_bid(ctx: BidContext, script: Sequence[int]) -> int:
 
 class Strategy(ABC):
     """A bidding rule. propose() must return a mask disjoint from the
-    bidder's provisional holdings."""
+    bidder's provisional holdings.
+
+    `depends_on` declares what a built-in rule's bid is a function of,
+    besides the bidder's valuation, so that run_auction can memoise it:
+    "state" is the own provisional set and the prices; "last_bid" adds
+    last round's bid minus the own set (0 in round 0). The engine reuses
+    a remembered bid only for the truthful, secure and locally optimal
+    rules' own propose. Every other rule -- scripted, CallableStrategy,
+    wrappers, and any subclass that overrides propose -- is asked every
+    round with a freshly refreshed BidContext.
+    """
 
     kind: str = "abstract"
+    depends_on: str | None = None
 
     @abstractmethod
     def propose(self, ctx: BidContext) -> int:
@@ -312,6 +331,7 @@ class Strategy(ABC):
 @dataclass(frozen=True)
 class TruthfulStrategy(Strategy):
     kind = "truthful"
+    depends_on = "state"
 
     def propose(self, ctx: BidContext) -> int:
         return truthful_bid(ctx)
@@ -328,6 +348,10 @@ class LocallyOptimalStrategy(Strategy):
                 f"start must be one of {LOCAL_STARTS}, got {self.start!r}"
             )
 
+    @property
+    def depends_on(self) -> str:
+        return "last_bid" if self.start == "previous" else "state"
+
     def propose(self, ctx: BidContext) -> int:
         return locally_optimal_bid(ctx, self.start)
 
@@ -339,6 +363,7 @@ class LocallyOptimalStrategy(Strategy):
 class SecureProfitMaxStrategy(Strategy):
     variant: str = "incremented"
     kind = "secure_profit_max"
+    depends_on = "state"
 
     def __post_init__(self):
         if self.variant not in SECURE_VARIANTS:
@@ -386,6 +411,14 @@ class CallableStrategy(Strategy):
 
     def spec_dict(self) -> dict:
         raise ValueError("custom strategies have no JSON form")
+
+
+# The rules whose bids the engine may memoise: their propose reads nothing
+# but what `depends_on` declares.
+MEMOISABLE_PROPOSE = frozenset(
+    (TruthfulStrategy.propose, LocallyOptimalStrategy.propose,
+     SecureProfitMaxStrategy.propose)
+)
 
 
 def strategy_from_spec(spec: dict, m: int) -> Strategy:

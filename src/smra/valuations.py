@@ -26,7 +26,7 @@ from math import inf
 from typing import Union
 
 from .errors import GenerationFailed, NotMonotone, OracleTooLarge, UniverseMismatch
-from .itemsets import full_mask, items_of, iter_items, mask_size
+from .itemsets import full_mask, items_of
 
 RationalLike = Union[int, Fraction]
 
@@ -68,6 +68,13 @@ class Valuation(ABC):
             table = tuple(self.value(mask) for mask in range(1 << m))
             object.__setattr__(self, "_table", table)
         return table
+
+    def __getstate__(self):
+        # The engine's per-process bid memo (mechanism.decision_memo) is
+        # not part of the valuation and does not travel to pool workers.
+        state = dict(self.__dict__)
+        state.pop("_decisions", None)
+        return state
 
     def max_value(self) -> int:
         """Worth of the full bundle (the largest value, by monotonicity)."""

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from smra import (
     AdditiveValuation,
     CallableStrategy,
     Divergence,
+    InsecureProvisionalState,
     InvalidBid,
     OracleTooLarge,
-    ScriptedStrategy,
+    PairBonusValuation,
+    SecureProfitMaxStrategy,
     TableValuation,
     TraceMismatch,
     TruthfulStrategy,
@@ -24,10 +27,13 @@ from smra import (
     replay_trace,
     run_auction,
     run_round,
+    run_trials,
+    truthful_bid,
     welfare,
     write_trace_jsonl,
 )
-from smra.mechanism import default_max_rounds
+from smra import mechanism, strategies
+from smra.mechanism import decision_memo, default_max_rounds
 from smra.scenarios import build_bad_pair
 
 
@@ -279,8 +285,6 @@ def test_strategies_see_consistent_histories():
         assert len(ctx.own_bid_history) == ctx.t
         assert ctx.prices == ctx.price_history[-1]
         assert ctx.own_set == ctx.own_set_history[-1]
-        from smra import truthful_bid
-
         return truthful_bid(ctx)
 
     sc = build_bad_pair(10)
@@ -291,6 +295,102 @@ def test_strategies_see_consistent_histories():
     )
     reference, _ = _bad_pair_outcome(4)
     assert outcome == reference
+
+
+# ---------------------------------------------------------------------------
+# Memoised decisions
+
+
+@pytest.fixture
+def truthful_calls(monkeypatch):
+    """Counts the truthful rule's real evaluations (memo misses)."""
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx.bidder)
+        return truthful_bid(ctx)
+
+    monkeypatch.setattr(strategies, "truthful_bid", counted)
+    return calls
+
+
+def test_memo_serves_repeated_states_and_keeps_the_outcome(truthful_calls):
+    sc = build_bad_pair(10)
+    cold = run_auction(sc.valuations, sc.strategies, seed=5)
+    misses = len(truthful_calls)
+    assert 0 < misses < 2 * (cold.rounds + 1)  # the two bidders share it
+    warm = run_auction(sc.valuations, sc.strategies, seed=5)
+    assert warm == cold
+    assert len(truthful_calls) == misses
+
+
+def test_insecure_holdings_raise_on_every_run():
+    # the posted variant wins both items at one increment over the price
+    # it checked, after which the singletons (worth 0) are overpriced
+    valuation = TableValuation((0, 0, 0, 2))
+    strategy = SecureProfitMaxStrategy("posted")
+    for _ in range(2):
+        with pytest.raises(InsecureProvisionalState) as exc_info:
+            run_auction((valuation,), (strategy,), seed=0)
+        assert exc_info.value.bidder == 0
+        assert exc_info.value.witness_mask in (0b01, 0b10)
+    assert list(decision_memo(valuation, strategy).values()) == [0b11]
+
+
+def test_overridden_propose_is_never_served_from_the_memo():
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Abstainer(TruthfulStrategy):
+        def propose(self, ctx):
+            calls.append(ctx.t)
+            return 0
+
+    valuation = PairBonusValuation(2, 1, 10)
+    run_auction((valuation,), (TruthfulStrategy(),), seed=0)
+    assert decision_memo(valuation, TruthfulStrategy())
+    assert decision_memo(valuation, Abstainer()) is None
+    for _ in range(2):
+        outcome = run_auction((valuation,), (Abstainer(),), seed=0)
+        assert outcome.rounds == 0
+    assert calls == [0, 0]
+
+
+def test_distinct_valuation_objects_never_share_entries(truthful_calls):
+    first, second = PairBonusValuation(2, 1, 10), PairBonusValuation(2, 1, 10)
+    assert first == second and first is not second
+    strategy = TruthfulStrategy()
+    run_auction((first,), (strategy,), seed=0)
+    misses = len(truthful_calls)
+    assert decision_memo(second, strategy) == {}
+    run_auction((second,), (strategy,), seed=0)
+    assert len(truthful_calls) == 2 * misses
+    assert decision_memo(first, strategy) == decision_memo(second, strategy)
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", 3)
+    sc = build_bad_pair(40)
+    memo = decision_memo(sc.valuations[0], sc.strategies[0])
+    sizes = []
+    outcome = run_auction(
+        sc.valuations, sc.strategies, seed=2,
+        observer=lambda t, prices, held: sizes.append(len(memo)),
+    )
+    assert outcome.rounds > 3
+    assert 0 < max(sizes) <= 3
+    uncached = tuple(CallableStrategy(s.propose) for s in sc.strategies)
+    assert run_auction(sc.valuations, uncached, seed=2) == outcome
+
+
+def test_memo_stays_out_of_the_pickled_scenario():
+    sc = build_bad_pair(10)
+    for valuation in sc.valuations:
+        valuation.value_table()
+    before = pickle.dumps(sc)
+    run_trials(sc, 20, seed=1, collect_lambda=False)
+    assert decision_memo(sc.valuations[0], sc.strategies[0])
+    assert pickle.dumps(sc) == before
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,12 @@ def test_local_tight_shape():
     assert degree_of_submodularity(pair).alpha == Fraction(2)
 
 
+def test_local_tight_builds_fifteen_items():
+    sc = build_local_tight(k=7, n=2)
+    assert sc.m == 15
+    assert len(sc.bidders[0].valuation.value_table()) == 1 << 15
+
+
 def test_superadditive_shape():
     sc = build_superadditive(50)
     assert (sc.name, sc.m, len(sc.bidders)) == ("superadditive", 2, 3)
@@ -127,7 +133,7 @@ def test_punishment_shape():
         lambda: build_truthful_tight(4, "3", 60),
         lambda: build_local_tight(alpha=2, H=2),  # need H > alpha
         lambda: build_local_tight(k=0),
-        lambda: build_local_tight(k=7, n=2),  # 15 items: beyond table scale
+        lambda: build_local_tight(k=10, n=2),  # 21 items: beyond TABLE_LIMIT
     ],
 )
 def test_builder_parameter_validation(build):
