@@ -1,8 +1,11 @@
-"""Golden outputs: sha256 digests of CSV and JSONL bytes at fixed seeds.
+"""Golden outputs: sha256 digests of CSV, JSONL and oracle JSON bytes.
 
 A change to how bids are priced, settled, drawn or written that moves a
 single byte of these outputs fails here. The 15-item auction prices its
-bids from 2**15-entry bundle tables, above every builtin's universe.
+bids from 2**15-entry bundle tables, above every builtin's universe. The
+`smra oracle` output carries the optimal assignment, so a change to the
+winner-determination DP that picks a different (equally good) assignment
+fails here too.
 """
 
 import hashlib
@@ -66,6 +69,42 @@ TRACE_RUNS = {
     ),
 }
 
+# name -> (extra `smra oracle` arguments, sha256 of its stdout)
+ORACLE_RUNS = {
+    "bad_pair": (
+        ("--builtin", "bad_pair"),
+        "4eacb7a069dfd40187558744fe0fd53bcf5eeaf59cb15518bbea9968cccfd2a9",
+    ),
+    "lemma4": (
+        ("--builtin", "lemma4"),
+        "de96f738ff084bafad5f6d0c212f3bda0322d01f509ead788ae40bb4ae18db88",
+    ),
+    "local_tight": (
+        ("--builtin", "local_tight"),
+        "ec78375613a7018b87b5818ff01685bd26b7644085932e52d9c0c3f78f6d9247",
+    ),
+    "punishment": (
+        ("--builtin", "punishment"),
+        "f2874250f6cd0413368e031373ea5d0f26d0a8d8be6a938fe50ff984d78aeb14",
+    ),
+    "superadditive": (
+        ("--builtin", "superadditive"),
+        "de96f738ff084bafad5f6d0c212f3bda0322d01f509ead788ae40bb4ae18db88",
+    ),
+    "truthful_tight": (
+        ("--builtin", "truthful_tight"),
+        "3a1f55100671622288bcc7c58a9fae33e1c65f75019a0db7c5d7affed434903b",
+    ),
+    "truthful_tight_k12_L30": (
+        ("--builtin", "truthful_tight", "--k", "12", "--L", "30"),
+        "b968e6701c510e42fbb6aab26bda6df493bccef3d99f634f410591ae65b83419",
+    ),
+    "local_tight_n3": (
+        ("--builtin", "local_tight", "--n", "3"),
+        "d87c29b7611a2b2f9de043e2377db7a25c6576a17f9af41a5e9dbd5bfb3ef3ae",
+    ),
+}
+
 # run_auction on build_truthful_tight(k=15, alpha=3, L=16) at seed 5
 WIDE_TRACE = "8f4ac2591704eb5f8bfe918f786759596461f422d8cf932e6cf2b72a03ec9af1"
 
@@ -92,6 +131,13 @@ def test_run_trace_digest(builtin, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert _sha256(trace.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_oracle_output_digest(name, capsys):
+    argv, digest = ORACLE_RUNS[name]
+    assert main(["oracle", *argv]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
 def test_fifteen_item_auction_trace_digest():
