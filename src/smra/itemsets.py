@@ -8,6 +8,7 @@ masks and sorted item lists and enumerate subsets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import UniverseMismatch
@@ -56,9 +57,14 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def popcount_table(m: int) -> list[int]:
-    """Popcount of every mask below 2**m, as a flat lookup list."""
+@lru_cache(maxsize=None)
+def popcount_table(m: int) -> tuple[int, ...]:
+    """Popcount of every mask below 2**m, as a flat lookup tuple.
+
+    Built once per universe size and shared by every caller, hence
+    immutable; sizes are bounded by the table limit, so is the cache.
+    """
     table = [0] * (1 << m)
     for mask in range(1, 1 << m):
         table[mask] = table[mask & (mask - 1)] + 1
-    return table
+    return tuple(table)

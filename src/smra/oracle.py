@@ -37,7 +37,18 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
 
     DP over (first i bidders, item subset): each bidder takes the bundle
     maximizing her value plus the best split of the rest among earlier
-    bidders. Cost n * 3**m; raises OracleTooLarge beyond the work budget.
+    bidders; a bundle replaces the earlier split only if strictly better,
+    so ties go to earlier bidders.
+
+    A layer that raises no subset's best split leaves every choice at the
+    empty bundle. Such a table stays idle for the rest of the DP: a layer
+    is a max-plus merge with the bidder's table, merges commute, so a
+    table that adds nothing to the splits adds nothing to any later
+    splits either. Later bidders with an equal value table skip their
+    layer, so copies of one valuation cost at most one idle layer once
+    further copies stop raising any split. The budget n * 3**m is checked
+    before the DP and is still an upper bound on its work; raises
+    OracleTooLarge beyond it.
     """
     n = len(valuations)
     if n == 0:
@@ -57,8 +68,13 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     size = 1 << m
     best = [0] * size
     choices: list[list[int]] = []
+    no_pick = [0] * size  # the choice row of every idle layer, shared
+    idle: set[tuple[int, ...]] = set()  # tables whose layer left best as is
     for v in valuations:
         table = v.value_table()
+        if table in idle:
+            choices.append(no_pick)
+            continue
         cur = [0] * size
         choice = [0] * size
         for mask in range(size):
@@ -73,8 +89,12 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
                 sub = (sub - 1) & mask
             cur[mask] = top
             choice[mask] = pick
-        best = cur
-        choices.append(choice)
+        if cur == best:  # no strict gain anywhere, so choice is all zero
+            idle.add(table)
+            choices.append(no_pick)
+        else:
+            best = cur
+            choices.append(choice)
 
     assignment = [0] * n
     mask = size - 1

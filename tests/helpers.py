@@ -61,6 +61,41 @@ def naive_optimal(valuations: Sequence[Valuation]) -> int:
     return best
 
 
+def reference_optimal_welfare(
+    valuations: Sequence[Valuation],
+) -> tuple[int, tuple[int, ...]]:
+    """(welfare, assignment) from the plain assignment DP: every bidder
+    runs a full layer over every (subset, sub-bundle) pair, and a bundle
+    replaces the earlier split only when strictly better."""
+    size = 1 << valuations[0].universe_size
+    best = [0] * size
+    choices = []
+    for v in valuations:
+        table = v.value_table()
+        cur = [0] * size
+        choice = [0] * size
+        for mask in range(size):
+            top = best[mask]
+            pick = 0
+            sub = mask
+            while sub:
+                cand = table[sub] + best[mask ^ sub]
+                if cand > top:
+                    top = cand
+                    pick = sub
+                sub = (sub - 1) & mask
+            cur[mask] = top
+            choice[mask] = pick
+        best = cur
+        choices.append(choice)
+    assignment = [0] * len(valuations)
+    mask = size - 1
+    for i in range(len(valuations) - 1, -1, -1):
+        assignment[i] = choices[i][mask]
+        mask ^= assignment[i]
+    return best[size - 1], tuple(assignment)
+
+
 def naive_price(prices: Sequence[int], bundle: int, own: int = 0,
                 increment: bool = False) -> int:
     """Posted price of a bundle, plus one increment per item outside

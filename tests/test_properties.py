@@ -12,6 +12,7 @@ from helpers import (
     naive_locally_optimal,
     naive_profit_max_secure,
     naive_truthful,
+    reference_optimal_welfare,
 )
 from smra import (
     AdditiveValuation,
@@ -29,6 +30,7 @@ from smra import (
     is_secure,
     locally_optimal_bid,
     measure_rationality,
+    optimal_welfare,
     profit_max_secure_bid,
     random_near_submodular,
     replay_trace,
@@ -291,3 +293,49 @@ def test_memoised_runs_equal_uncached_runs(instance):
         reference = _outcome_or_error(valuations, uncached, seed)
         for _ in range(2):
             assert _outcome_or_error(valuations, strategies, seed) == reference
+
+
+# ---------------------------------------------------------------------------
+# Winner determination: skipped idle layers change neither the optimum nor
+# which copy of a valuation wins it
+
+COPY_KINDS = ("reused", "equal", "interleaved", "many")
+
+
+@st.composite
+def repeated_valuations(draw):
+    m = draw(st.integers(1, 5))
+    base = draw(monotone_tables(min_m=m, max_m=m))
+    kind = draw(st.sampled_from(COPY_KINDS))
+    if kind == "reused":  # one object, several bidders
+        return (base,) * draw(st.integers(2, m + 2))
+    if kind == "equal":  # equal tables held by distinct objects
+        count = draw(st.integers(2, m + 2))
+        return tuple(TableValuation(base.values) for _ in range(count))
+    others = draw(st.lists(monotone_tables(min_m=m, max_m=m),
+                           min_size=1, max_size=2))
+    if kind == "interleaved":  # copies of base around other tables
+        pool = [base, TableValuation(base.values), *others]
+        return tuple(draw(st.lists(st.sampled_from(pool),
+                                   min_size=3, max_size=8)))
+    # more copies than items, reused and equal, with one other table
+    copies = [draw(st.sampled_from([base, TableValuation(base.values)]))
+              for _ in range(draw(st.integers(m + 1, m + 3)))]
+    copies.insert(draw(st.integers(0, len(copies))), others[0])
+    return tuple(copies)
+
+
+_COPIED = (0, 2, 0, 3, 2, 2, 4, 5)  # m = 3; a second copy still gains
+
+
+@settings(max_examples=120, deadline=None)
+@given(repeated_valuations())
+# layers: copy 1 and 2 gain, copy 3 is idle, the interleaved table gains,
+# copy 4 stays idle; skipping every repeat of a table loses welfare 1
+@example((TableValuation(_COPIED),) * 3
+         + (TableValuation((0, 1, 2, 3, 0, 1, 3, 3)), TableValuation(_COPIED)))
+def test_optimal_welfare_equals_the_plain_dp(valuations):
+    result = optimal_welfare(valuations)
+    assert (result.welfare, result.assignment) == reference_optimal_welfare(
+        valuations
+    )
