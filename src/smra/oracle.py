@@ -41,14 +41,14 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     so ties go to earlier bidders.
 
     A layer that raises no subset's best split leaves every choice at the
-    empty bundle. Such a table stays idle for the rest of the DP: a layer
-    is a max-plus merge with the bidder's table, merges commute, so a
-    table that adds nothing to the splits adds nothing to any later
-    splits either. Later bidders with an equal value table skip their
-    layer, so copies of one valuation cost at most one idle layer once
-    further copies stop raising any split. The budget n * 3**m is checked
-    before the DP and is still an upper bound on its work; raises
-    OracleTooLarge beyond it.
+    empty bundle. Such a table stays idle for the rest of the DP: each
+    layer max-plus merges a bidder's table into the row of best splits,
+    and merging is commutative and associative, so a table that adds
+    nothing to the row now adds nothing to any later row either. Later
+    bidders with an equal value table skip their layer, so copies of one
+    valuation cost at most one idle layer once further copies stop
+    raising any split. The budget n * 3**m is checked before the DP and
+    is still an upper bound on its work; raises OracleTooLarge beyond it.
     """
     n = len(valuations)
     if n == 0:

@@ -33,6 +33,7 @@ from smra import (
     write_trace_jsonl,
 )
 from smra import mechanism, strategies
+from smra.itemsets import popcount_table
 from smra.mechanism import decision_memo, default_max_rounds
 from smra.scenarios import build_bad_pair
 
@@ -216,6 +217,12 @@ def test_default_round_budget():
 def test_masked_price_sums():
     assert masked_price_sums((3, 5), 2) == [0, 3, 5, 8]
     assert masked_price_sums((0,), 1) == [0, 0]
+
+
+def test_popcount_table_is_built_once_per_size():
+    table = popcount_table(5)
+    assert table is popcount_table(5)  # shared, so it must be immutable
+    assert table == tuple(bin(mask).count("1") for mask in range(32))
 
 
 def test_divergence_carries_partial_outcome():
