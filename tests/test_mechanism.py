@@ -118,8 +118,16 @@ def test_displaced_owner_is_never_a_candidate():
     assert state.prices == (2,)
 
 
+# Bidder 1 asks for item 2 of a two-item universe; run_auction and
+# run_round must blame the same bidder for the same mask.
+BAD_BIDS = (0b01, 0b110)
+
+
 def test_run_round_rejects_invalid_bids():
     state = init_auction(2, 2)
+    with pytest.raises(InvalidBid) as exc_info:
+        run_round(state, BAD_BIDS, random.Random(0))
+    assert (exc_info.value.bidder, exc_info.value.mask) == (1, BAD_BIDS[1])
     held = run_round(state, (0b01, 0), random.Random(0))
     with pytest.raises(InvalidBid):
         run_round(held, (0b01, 0), random.Random(0))  # overlaps own holding
@@ -269,6 +277,10 @@ def test_run_auction_polices_strategy_output():
     negative = CallableStrategy(lambda ctx: -1)
     with pytest.raises(InvalidBid):
         run_auction((AdditiveValuation((9,)),), (negative,), seed=0)
+    scripted = tuple(CallableStrategy(lambda ctx, b=b: b) for b in BAD_BIDS)
+    with pytest.raises(InvalidBid) as exc_info:
+        run_auction((AdditiveValuation((9, 9)),) * 2, scripted, seed=0)
+    assert (exc_info.value.bidder, exc_info.value.mask) == (1, BAD_BIDS[1])
 
 
 def test_observer_sees_every_settled_round():

@@ -1,5 +1,6 @@
 """Property-based invariants: engine rules, analysis oracles, path equality."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from smra import (
     TableValuation,
     TruthfulStrategy,
     degree_of_submodularity,
+    init_auction,
     is_alpha_near_submodular,
     is_locally_optimal,
     is_secure,
@@ -35,6 +37,7 @@ from smra import (
     random_near_submodular,
     replay_trace,
     run_auction,
+    run_round,
     truthful_bid,
 )
 
@@ -161,6 +164,13 @@ def test_engine_invariants_hold_for_any_scripts(instance):
     assert result.terminal
     assert result.prices == outcome.prices
     assert result.provisional == outcome.allocation
+
+    # the pure step API settles the same bids into the same records
+    state = init_auction(m, len(scripts))
+    rng = random.Random(seed)
+    for record in outcome.records:
+        state = run_round(state, record.bids, rng)
+    assert state.history == outcome.records
 
 
 # ---------------------------------------------------------------------------
