@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, IO, Optional, Sequence
 
 from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
@@ -87,19 +87,24 @@ def init_auction(m: int, n: int) -> AuctionState:
     return AuctionState(round=0, prices=(0,) * m, provisional=(0,) * n)
 
 
-def _validate_bids(bids: Sequence[int], provisional: Sequence[int], m: int) -> None:
-    if len(bids) != len(provisional):
-        raise ValueError(
-            f"got {len(bids)} bids for {len(provisional)} bidders"
-        )
+def _validate_bids(bids: Sequence[int], provisional: Sequence[int], m: int) -> int:
+    """Check every non-empty bid and return the demanded mask (their union).
+
+    A bid must stay inside the universe and off its bidder's provisional
+    set; the first offender raises InvalidBid.
+    """
+    demanded = 0
     for i, bid in enumerate(bids):
-        if bid < 0 or bid >> m:
-            raise InvalidBid(i, bid, f"items outside universe of size {m}")
-        if bid & provisional[i]:
-            raise InvalidBid(
-                i, bid,
-                f"bid overlaps own provisional set {provisional[i]:#x}",
-            )
+        if bid:
+            if bid < 0 or bid >> m:
+                raise InvalidBid(i, bid, f"items outside universe of size {m}")
+            if bid & provisional[i]:
+                raise InvalidBid(
+                    i, bid,
+                    f"bid overlaps own provisional set {provisional[i]:#x}",
+                )
+            demanded |= bid
+    return demanded
 
 
 def _settle_round(
@@ -107,42 +112,32 @@ def _settle_round(
     provisional: list[int],
     owners: list[int],
     bids: Sequence[int],
-    pick: Callable[[int, tuple[int, ...]], int],
-) -> tuple[int, tuple[Draw, ...]]:
-    """Apply one round of demanded-item price raises and ownership draws.
+    demanded: int,
+    choose: Callable[[list[int]], int],
+    draws: list[Draw] | None,
+) -> None:
+    """Raise every demanded item's price one step and move its ownership.
 
-    Mutates prices, provisional and owners in place. `pick(item, cands)`
-    chooses the winning bidder index from the non-empty candidate tuple.
-    Returns (demanded mask, draws in ascending item order).
+    Items are settled in ascending order; prices, provisional and owners
+    are mutated in place. A sole demander wins outright; `choose(cands)`
+    picks the winner only when two or more bidders contest an item. Draws
+    are appended to `draws` when it is a list.
     """
-    union = 0
-    for bid in bids:
-        union |= bid
-    draws = []
-    rest = union
+    rest = demanded
     while rest:
         low = rest & -rest
         j = low.bit_length() - 1
         rest ^= low
-        cands = tuple(i for i, bid in enumerate(bids) if (bid >> j) & 1)
+        cands = [i for i, bid in enumerate(bids) if bid & low]
         prices[j] += 1
-        winner = pick(j, cands)
+        winner = cands[0] if len(cands) == 1 else choose(cands)
         old = owners[j]
         if old >= 0:
             provisional[old] ^= low
         owners[j] = winner
         provisional[winner] |= low
-        draws.append(Draw(j, cands, winner))
-    return union, tuple(draws)
-
-
-def _rng_pick(rng: random.Random) -> Callable[[int, tuple[int, ...]], int]:
-    def pick(_item: int, cands: tuple[int, ...]) -> int:
-        if len(cands) == 1:
-            return cands[0]
-        return cands[rng.randrange(len(cands))]
-
-    return pick
+        if draws is not None:
+            draws.append(Draw(j, tuple(cands), winner))
 
 
 def run_round(
@@ -153,26 +148,26 @@ def run_round(
     A round in which every bid is empty is terminal; it is still recorded
     (with no draws and no price change) so traces document termination.
     """
+    if len(bids) != len(state.provisional):
+        raise ValueError(
+            f"got {len(bids)} bids for {len(state.provisional)} bidders"
+        )
     m = len(state.prices)
-    _validate_bids(bids, state.provisional, m)
+    demanded = _validate_bids(bids, state.provisional, m)
     prices = list(state.prices)
     provisional = list(state.provisional)
     owners = [-1] * m
     for i, held in enumerate(provisional):
         for j in items_of(held):
             owners[j] = i
-
-    bids = tuple(bids)
-    if any(bids):
-        excess, draws = _settle_round(prices, provisional, owners, bids, _rng_pick(rng))
-    else:
-        excess, draws = 0, ()
+    draws: list[Draw] = []
+    _settle_round(prices, provisional, owners, bids, demanded, rng.choice, draws)
     record = RoundRecord(
         t=state.round,
         prices_before=state.prices,
-        bids=bids,
-        excess=excess,
-        draws=draws,
+        bids=tuple(bids),
+        excess=demanded,
+        draws=tuple(draws),
         prices_after=tuple(prices),
         provisional=tuple(provisional),
     )
@@ -236,14 +231,21 @@ def run_auction(
     (see decision_memo) that has met its key before gets its remembered
     bid instead, without a context refresh or a propose call; the price
     table is built once per round, on the first bidder that misses.
-    Exceptions are never remembered. The observer, if
-    given, is called after every settled round with (t, prices_after,
-    provisional_masks); the masks list is live and must not be mutated.
+    Exceptions are never remembered.
 
-    Raises OracleTooLarge before round 0 if the universe is too large for
-    the bundle tables (see valuations.TABLE_LIMIT), and Divergence
-    (carrying the partial outcome) if the auction is still live after
-    max_rounds rounds.
+    The bids then go through the same bid check, settlement and round
+    record as run_round, with the same seeded draws, so stepping run_round
+    with a trace's bids reproduces its records. The first all-empty round
+    settles nothing, is recorded like any other, and ends the auction.
+    The observer, if given, is called after every round that settled
+    something with (t, prices_after, provisional_masks); the masks list is
+    live and must not be mutated.
+
+    Raises InvalidBid for a bid outside the universe or overlapping the
+    bidder's own holdings, OracleTooLarge before round 0 if the universe
+    is too large for the bundle tables (see valuations.TABLE_LIMIT), and
+    Divergence (carrying the partial outcome) if a round at or past
+    max_rounds still demands something.
     """
     n = len(valuations)
     if n == 0:
@@ -292,8 +294,7 @@ def run_auction(
     last_bid_bits = [
         -1 if s.depends_on == "last_bid" else 0 for s in strategies
     ]
-    rng = random.Random(seed)
-    randrange = rng.randrange
+    choose = random.Random(seed).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = [0] * n
@@ -327,42 +328,8 @@ def run_auction(
                 memo[key] = bid
             bids.append(bid)
 
-        union = 0
-        for i in bidders:
-            bid = bids[i]
-            if bid:
-                if bid < 0 or bid >> m:
-                    raise InvalidBid(
-                        i, bid, f"items outside universe of size {m}"
-                    )
-                if bid & provisional[i]:
-                    raise InvalidBid(
-                        i, bid,
-                        f"bid overlaps own provisional set {provisional[i]:#x}",
-                    )
-                union |= bid
-
-        if not union:
-            if records is not None:
-                records.append(
-                    RoundRecord(
-                        t=t,
-                        prices_before=current_prices,
-                        bids=tuple(bids),
-                        excess=0,
-                        draws=(),
-                        prices_after=current_prices,
-                        provisional=tuple(provisional),
-                    )
-                )
-            return AuctionOutcome(
-                allocation=tuple(provisional),
-                prices=current_prices,
-                rounds=t,
-                records=tuple(records) if records is not None else None,
-            )
-
-        if t >= max_rounds:
+        demanded = _validate_bids(bids, provisional, m)
+        if demanded and t >= max_rounds:
             partial = AuctionOutcome(
                 allocation=tuple(provisional),
                 prices=current_prices,
@@ -372,43 +339,33 @@ def run_auction(
             )
             raise Divergence(max_rounds, partial)
 
-        # Same settlement as _settle_round, inlined; Draw objects are only
-        # materialized when a trace is recorded. The equivalence of this
-        # path with run_round is pinned by tests.
         draws: list[Draw] | None = [] if records is not None else None
-        rest = union
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            cands = [i for i, bid in enumerate(bids) if (bid >> j) & 1]
-            prices[j] += 1
-            winner = cands[0] if len(cands) == 1 else cands[randrange(len(cands))]
-            old = owners[j]
-            if old >= 0:
-                provisional[old] ^= low
-            owners[j] = winner
-            provisional[winner] |= low
-            if draws is not None:
-                draws.append(Draw(j, tuple(cands), winner))
-
+        _settle_round(prices, provisional, owners, bids, demanded, choose, draws)
         new_prices = tuple(prices)
-        price_history.append(new_prices)
-        for i in bidders:
-            own_set_histories[i].append(provisional[i])
-            own_bid_histories[i].append(bids[i])
         if records is not None:
             records.append(
                 RoundRecord(
                     t=t,
                     prices_before=current_prices,
                     bids=tuple(bids),
-                    excess=union,
+                    excess=demanded,
                     draws=tuple(draws),
                     prices_after=new_prices,
                     provisional=tuple(provisional),
                 )
             )
+        if not demanded:
+            return AuctionOutcome(
+                allocation=tuple(provisional),
+                prices=current_prices,
+                rounds=t,
+                records=tuple(records) if records is not None else None,
+            )
+
+        price_history.append(new_prices)
+        for i in bidders:
+            own_set_histories[i].append(provisional[i])
+            own_bid_histories[i].append(bids[i])
         if observer is not None:
             observer(t, new_prices, provisional)
         t += 1
@@ -463,14 +420,16 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceMismatch(f"trace line {line_no}: bad JSON ({exc})") from None
-        if not isinstance(obj, dict) or not _TRACE_KEYS.issubset(obj):
+        if not isinstance(obj, dict):
+            raise TraceMismatch(f"trace line {line_no}: not a JSON object")
+        if not _TRACE_KEYS.issubset(obj):
             raise TraceMismatch(
                 f"trace line {line_no}: missing keys "
                 f"{sorted(_TRACE_KEYS - set(obj))}"
             )
-        m = len(obj["prices_before"])
-        records.append(
-            RoundRecord(
+        try:
+            m = len(obj["prices_before"])
+            record = RoundRecord(
                 t=obj["t"],
                 prices_before=tuple(obj["prices_before"]),
                 bids=tuple(mask_of(b, m) for b in obj["bids"]),
@@ -482,7 +441,11 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
                 prices_after=tuple(obj["prices_after"]),
                 provisional=tuple(mask_of(s, m) for s in obj["provisional"]),
             )
-        )
+        except (KeyError, TypeError, UniverseMismatch) as exc:
+            raise TraceMismatch(
+                f"trace line {line_no}: malformed record ({exc!r})"
+            ) from None
+        records.append(record)
     return records
 
 
@@ -497,10 +460,13 @@ class ReplayResult:
 def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
     """Re-run a complete trace from the empty start, verifying every step.
 
-    Checks round numbering, price bookkeeping, bid validity, the demanded
-    set, candidate pools, and ownership evolution; any discrepancy raises
-    TraceMismatch. Returns the final state and whether the trace ends with
-    the terminal all-empty round.
+    Every round goes through the same bid check, settlement and record as
+    run_auction, with each contested item handed to its recorded winner
+    (who must be among the recomputed candidates). The rebuilt record must
+    equal the recorded one: round number, prices, demanded set, every draw
+    and the provisional sets. Any discrepancy raises TraceMismatch. Returns
+    the final state and whether the trace ends with the terminal all-empty
+    round.
     """
     if not records:
         raise TraceMismatch("empty trace")
@@ -514,66 +480,49 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
     for expect_t, record in enumerate(records):
         if terminal:
             raise TraceMismatch("rounds continue after the terminal round")
-        if record.t != expect_t:
-            raise TraceMismatch(f"round {expect_t}: labeled t={record.t}")
-        if record.prices_before != tuple(prices):
-            raise TraceMismatch(
-                f"round {expect_t}: prices_before {record.prices_before} != "
-                f"running prices {tuple(prices)}"
-            )
-        if len(record.bids) != n or len(record.prices_before) != m:
-            raise TraceMismatch(f"round {expect_t}: bidder/item count changed")
+        if len(record.bids) != n:
+            raise TraceMismatch(f"round {expect_t}: bidder count changed")
         try:
-            _validate_bids(record.bids, provisional, m)
+            demanded = _validate_bids(record.bids, provisional, m)
         except InvalidBid as exc:
             raise TraceMismatch(f"round {expect_t}: {exc}") from None
+        contested = iter([d for d in record.draws if len(d.candidates) > 1])
 
-        if not any(record.bids):
-            terminal = True
-            computed_excess: int = 0
-            computed_draws: tuple[Draw, ...] = ()
-        else:
-            rounds += 1
-            draw_iter = iter(record.draws)
+        def choose(cands: list[int]) -> int:
+            draw = next(contested, None)
+            if draw is None or list(draw.candidates) != cands:
+                raise TraceMismatch(
+                    f"round {expect_t}: next recorded contested draw {draw} "
+                    f"does not match candidates {tuple(cands)}"
+                )
+            if draw.chosen not in cands:
+                raise TraceMismatch(
+                    f"round {expect_t}, item {draw.item}: chosen bidder "
+                    f"{draw.chosen} never bid on it"
+                )
+            return draw.chosen
 
-            def pick(item: int, cands: tuple[int, ...]) -> int:
-                try:
-                    draw = next(draw_iter)
-                except StopIteration:
-                    raise TraceMismatch(
-                        f"round {expect_t}: trace has too few draws"
-                    ) from None
-                if draw.item != item or draw.candidates != cands:
-                    raise TraceMismatch(
-                        f"round {expect_t}, item {item}: recorded draw "
-                        f"{draw} does not match candidates {cands}"
-                    )
-                if draw.chosen not in cands:
-                    raise TraceMismatch(
-                        f"round {expect_t}, item {item}: chosen bidder "
-                        f"{draw.chosen} never bid on it"
-                    )
-                return draw.chosen
-
-            computed_excess, computed_draws = _settle_round(
-                prices, provisional, owners, record.bids, pick
-            )
-        if computed_excess != record.excess:
-            raise TraceMismatch(
-                f"round {expect_t}: demanded set {record.excess:#x} != "
-                f"recomputed {computed_excess:#x}"
-            )
-        if len(computed_draws) != len(record.draws):
-            raise TraceMismatch(f"round {expect_t}: trace has too many draws")
-        if record.prices_after != tuple(prices):
-            raise TraceMismatch(
-                f"round {expect_t}: prices_after {record.prices_after} != "
-                f"recomputed {tuple(prices)}"
-            )
-        if record.provisional != tuple(provisional):
-            raise TraceMismatch(
-                f"round {expect_t}: provisional sets do not match replay"
-            )
+        prices_before = tuple(prices)
+        draws: list[Draw] = []
+        _settle_round(prices, provisional, owners, record.bids, demanded, choose, draws)
+        replayed = RoundRecord(
+            t=expect_t,
+            prices_before=prices_before,
+            bids=tuple(record.bids),
+            excess=demanded,
+            draws=tuple(draws),
+            prices_after=tuple(prices),
+            provisional=tuple(provisional),
+        )
+        for field in fields(RoundRecord):
+            recorded = getattr(record, field.name)
+            if recorded != getattr(replayed, field.name):
+                raise TraceMismatch(
+                    f"round {expect_t}: recorded {field.name} {recorded} != "
+                    f"replayed {getattr(replayed, field.name)}"
+                )
+        terminal = not demanded
+        rounds += not terminal
     return ReplayResult(
         prices=tuple(prices),
         provisional=tuple(provisional),

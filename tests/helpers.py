@@ -10,6 +10,7 @@ logic.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import inf
 from typing import Optional, Sequence
@@ -252,3 +253,24 @@ def make_ctx(
         price_sums=masked_price_sums(prices, m),
         popcounts=popcount_table(m),
     )
+
+
+# One well-formed two-item, two-bidder trace line, and lines that
+# read_trace_jsonl must refuse with TraceMismatch.
+GOOD_LINE = {
+    "t": 0, "prices_before": [0, 0], "bids": [[0, 1], [1]], "excess": [0, 1],
+    "draws": [
+        {"item": 0, "candidates": [0], "chosen": 0},
+        {"item": 1, "candidates": [0, 1], "chosen": 1},
+    ],
+    "prices_after": [1, 1], "provisional": [[0], [1]],
+}
+MALFORMED_LINES = [
+    "not json",
+    '{"t": 0}',  # missing keys
+    "5",  # not an object
+    json.dumps({**GOOD_LINE, "bids": [0, [1]]}),  # a bid that is not a list
+    json.dumps({**GOOD_LINE, "draws": [{"item": 0, "chosen": 0}]}),
+    json.dumps({**GOOD_LINE, "excess": [0, 2]}),  # item outside the universe
+    json.dumps({**GOOD_LINE, "prices_before": 0}),
+]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import MALFORMED_LINES
 from smra import read_rows_csv, aggregate_rows
 from smra.cli import main
 
@@ -242,6 +243,17 @@ def test_replay_rejects_tampering(capsys, tmp_path):
     code, _, err = run_cli(capsys, "replay", str(trace))
     assert code == 4
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "line", MALFORMED_LINES, ids=range(len(MALFORMED_LINES))
+)
+def test_replay_rejects_malformed_trace_lines(capsys, tmp_path, line):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "replay", str(trace))
+    assert code == 4
+    assert "trace line 0" in err
 
 
 def test_replay_missing_file(capsys):

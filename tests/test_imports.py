@@ -1,8 +1,11 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+private module-level name in the package is referenced somewhere in it.
 
-No linter ships with the project, so this scan is the guard: an import
-that nothing references fails here. The package's __init__.py is exempt,
-since its imports are the public re-exports.
+No linter ships with the project, so these scans are the guard: an import
+that nothing references fails here, and so does a `_name` function, class
+or constant that no module of the package uses any more. The package's
+__init__.py is exempt from the import scan, since its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,9 +14,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted(ROOT.glob("src/smra/*.py"))
 FILES = sorted(
     path
-    for path in [*ROOT.glob("src/smra/*.py"), *ROOT.glob("tests/*.py")]
+    for path in [*PACKAGE, *ROOT.glob("tests/*.py")]
     if path.name != "__init__.py"
 )
 
@@ -43,3 +47,50 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level `_name` functions, classes and assigned constants."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the source reads, reaches as an attribute, or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    used = set().union(*map(referenced_names, sources.values()))
+    return sorted(f"{name} ({path})" for path, source in sources.items()
+                  for name in private_definitions(source) if name not in used)
+
+
+def test_scan_sees_an_orphaned_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_kept: int = 0\ndef _orphan(): pass\n"
+                "class _Gone: pass\ndef public(): return _helper(_LIMIT)\n",
+        "b.py": "from a import _kept\ndef _helper(x): return x\n",
+    }
+    assert orphaned_private_names(sources) == ["_Gone (a.py)", "_orphan (a.py)"]
+
+
+def test_no_orphaned_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert orphaned_private_names(sources) == []

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from helpers import GOOD_LINE, MALFORMED_LINES
 from smra import (
     AdditiveValuation,
     CallableStrategy,
@@ -507,10 +508,11 @@ def test_replay_rejects_overlapping_recorded_bids():
 
 
 def test_read_trace_rejects_malformed_lines():
-    with pytest.raises(TraceMismatch):
-        read_trace_jsonl(io.StringIO("not json\n"))
-    with pytest.raises(TraceMismatch):
-        read_trace_jsonl(io.StringIO('{"t": 0}\n'))
+    assert len(read_trace_jsonl(io.StringIO(json.dumps(GOOD_LINE)))) == 1
+    for bad in MALFORMED_LINES:
+        lines = io.StringIO(json.dumps(GOOD_LINE) + "\n" + bad + "\n")
+        with pytest.raises(TraceMismatch, match="trace line 1"):
+            read_trace_jsonl(lines)
 
 
 def test_incomplete_trace_is_not_terminal():
