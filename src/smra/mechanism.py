@@ -30,8 +30,8 @@ from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation
 
-# Bids one valuation remembers for one rule (see decision_memo); a full
-# memo is emptied and refilled, so a long run's memory stays bounded.
+# Bids one valuation remembers per rule (see decision_memo) and plans one
+# run_auction call keeps; a full cache is emptied, so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
 
@@ -87,11 +87,16 @@ def init_auction(m: int, n: int) -> AuctionState:
     return AuctionState(round=0, prices=(0,) * m, provisional=(0,) * n)
 
 
-def _validate_bids(bids: Sequence[int], provisional: Sequence[int], m: int) -> int:
-    """Check every non-empty bid and return the demanded mask (their union).
+def _plan_round(
+    bids: Sequence[int], provisional: Sequence[int], m: int
+) -> tuple[int, tuple[tuple, ...]]:
+    """Check the bids and return (demanded mask, settlement steps).
 
-    A bid must stay inside the universe and off its bidder's provisional
-    set; the first offender raises InvalidBid.
+    A non-empty bid must stay inside the universe and off its bidder's
+    provisional set; the first offender raises InvalidBid. There is one
+    step per demanded item, in ascending order: (item, bit, demanders,
+    holder at round start or -1). An item changes hands only at its own
+    step, so the plan is a function of (bids, provisional) alone.
     """
     demanded = 0
     for i, bid in enumerate(bids):
@@ -104,46 +109,44 @@ def _validate_bids(bids: Sequence[int], provisional: Sequence[int], m: int) -> i
                     f"bid overlaps own provisional set {provisional[i]:#x}",
                 )
             demanded |= bid
-    return demanded
-
-
-def _settle_round(
-    prices: list[int],
-    provisional: list[int],
-    owners: list[int],
-    bids: Sequence[int],
-    demanded: int,
-    choose: Callable[[list[int]], int],
-    draws: list[Draw] | None,
-) -> None:
-    """Raise every demanded item's price one step and move its ownership.
-
-    Items are settled in ascending order; prices, provisional and owners
-    are mutated in place. A sole demander wins outright; `choose(cands)`
-    picks the winner only when two or more bidders contest an item. Draws
-    are appended to `draws` when it is a list.
-    """
+    steps = []
     rest = demanded
     while rest:
         low = rest & -rest
-        j = low.bit_length() - 1
         rest ^= low
-        cands = [i for i, bid in enumerate(bids) if bid & low]
+        holder = next((i for i, held in enumerate(provisional) if held & low), -1)
+        cands = tuple(i for i, bid in enumerate(bids) if bid & low)
+        steps.append((low.bit_length() - 1, low, cands, holder))
+    return demanded, tuple(steps)
+
+
+def _settle(
+    prices: list[int],
+    provisional: list[int],
+    steps: Sequence[tuple],
+    choose: Callable[[tuple[int, ...]], int],
+    draws: list[Draw] | None,
+) -> None:
+    """Apply a plan's steps: raise each item's price one step and move it,
+    in place. A sole demander wins outright; `choose(cands)` picks the
+    winner only when two or more bidders contest an item. Draws are
+    appended to `draws` when it is a list.
+    """
+    for j, low, cands, holder in steps:
         prices[j] += 1
         winner = cands[0] if len(cands) == 1 else choose(cands)
-        old = owners[j]
-        if old >= 0:
-            provisional[old] ^= low
-        owners[j] = winner
+        if holder >= 0:
+            provisional[holder] ^= low
         provisional[winner] |= low
         if draws is not None:
-            draws.append(Draw(j, tuple(cands), winner))
+            draws.append(Draw(j, cands, winner))
 
 
 def run_round(
     state: AuctionState, bids: Sequence[int], rng: random.Random
 ) -> AuctionState:
-    """One pure step: validate bids, settle, and return the next state.
+    """One pure step: plan and settle the round (no plan cache), and return
+    the next state with the round's record appended to its history.
 
     A round in which every bid is empty is terminal; it is still recorded
     (with no draws and no price change) so traces document termination.
@@ -152,16 +155,11 @@ def run_round(
         raise ValueError(
             f"got {len(bids)} bids for {len(state.provisional)} bidders"
         )
-    m = len(state.prices)
-    demanded = _validate_bids(bids, state.provisional, m)
+    demanded, steps = _plan_round(bids, state.provisional, len(state.prices))
     prices = list(state.prices)
     provisional = list(state.provisional)
-    owners = [-1] * m
-    for i, held in enumerate(provisional):
-        for j in items_of(held):
-            owners[j] = i
     draws: list[Draw] = []
-    _settle_round(prices, provisional, owners, bids, demanded, rng.choice, draws)
+    _settle(prices, provisional, steps, rng.choice, draws)
     record = RoundRecord(
         t=state.round,
         prices_before=state.prices,
@@ -183,7 +181,7 @@ def default_max_rounds(valuations: Sequence[Valuation]) -> int:
     """Generous round budget: enough for every price to climb past every
     value with slack, which bounds any surplus-respecting strategy mix."""
     m = valuations[0].universe_size
-    top = max(v.max_value() for v in valuations)
+    top = max(v.value_table()[-1] for v in valuations)
     return len(valuations) * m * (top + 2)
 
 
@@ -229,17 +227,20 @@ def run_auction(
     Each round every strategy sees a BidContext (current prices, own
     holdings, full histories) and proposes a bid mask. A memoised rule
     (see decision_memo) that has met its key before gets its remembered
-    bid instead, without a context refresh or a propose call; the price
-    table is built once per round, on the first bidder that misses.
-    Exceptions are never remembered.
+    bid instead, without a propose call. A bidder's context is built on
+    its first propose and refreshed on each later one; the price table is
+    built once per round, on the first bidder that misses. Exceptions are
+    never remembered.
 
-    The bids then go through the same bid check, settlement and round
-    record as run_round, with the same seeded draws, so stepping run_round
-    with a trace's bids reproduces its records. The first all-empty round
-    settles nothing, is recorded like any other, and ends the auction.
-    The observer, if given, is called after every round that settled
-    something with (t, prices_after, provisional_masks); the masks list is
-    live and must not be mutated.
+    The bids then go through the same plan, settlement and round record as
+    run_round, with the same seeded draws, so stepping run_round with a
+    trace's bids reproduces its records. Plans are cached per (bids,
+    holdings) for the call, so a recurring key skips the bid check and the
+    candidate scans, never the draws; a plan that raises is not cached.
+    The first all-empty round settles nothing, is recorded like any other,
+    and ends the auction. The observer, if given, is called after every
+    settled round with (t, prices_after, provisional_masks); the masks
+    list is live and must not be mutated.
 
     Raises InvalidBid for a bid outside the universe or overlapping the
     bidder's own holdings, OracleTooLarge before round 0 if the universe
@@ -265,28 +266,12 @@ def run_auction(
     popcounts = popcount_table(m)
 
     prices = [0] * m
-    owners = [-1] * m
     provisional = [0] * n
+    held = (0,) * n
     price_history: list[tuple[int, ...]] = [(0,) * m]
     own_set_histories: list[list[int]] = [[0] for _ in range(n)]
     own_bid_histories: list[list[int]] = [[] for _ in range(n)]
-    contexts = [
-        BidContext(
-            bidder=i,
-            valuation=valuations[i],
-            t=0,
-            prices=price_history[0],
-            price_history=price_history,
-            own_set=0,
-            own_set_history=own_set_histories[i],
-            own_bid_history=own_bid_histories[i],
-            m=m,
-            value_table=value_tables[i],
-            price_sums=(),  # filled in before every propose call
-            popcounts=popcounts,
-        )
-        for i in range(n)
-    ]
+    contexts: list[BidContext | None] = [None] * n
     proposers = [s.propose for s in strategies]
     memos = [decision_memo(v, s) for v, s in zip(valuations, strategies)]
     # Bits of last round's bid that a memo key keeps: all of them for rules
@@ -294,6 +279,7 @@ def run_auction(
     last_bid_bits = [
         -1 if s.depends_on == "last_bid" else 0 for s in strategies
     ]
+    plans: dict = {}
     choose = random.Random(seed).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
@@ -317,10 +303,20 @@ def run_auction(
             if price_sums is None:
                 price_sums = masked_price_sums(prices, m)
             ctx = contexts[i]
-            ctx.t = t
-            ctx.prices = current_prices
-            ctx.own_set = own
-            ctx.price_sums = price_sums
+            if ctx is None:
+                ctx = contexts[i] = BidContext(
+                    bidder=i, valuation=valuations[i], t=t,
+                    prices=current_prices, price_history=price_history,
+                    own_set=own, own_set_history=own_set_histories[i],
+                    own_bid_history=own_bid_histories[i], m=m,
+                    value_table=value_tables[i], price_sums=price_sums,
+                    popcounts=popcounts,
+                )
+            else:
+                ctx.t = t
+                ctx.prices = current_prices
+                ctx.own_set = own
+                ctx.price_sums = price_sums
             bid = proposers[i](ctx)
             if memo is not None:
                 if len(memo) >= DECISION_CACHE_LIMIT:
@@ -328,37 +324,41 @@ def run_auction(
                 memo[key] = bid
             bids.append(bid)
 
-        demanded = _validate_bids(bids, provisional, m)
+        bids_key = tuple(bids)
+        plan_key = (bids_key, held)
+        plan = plans.get(plan_key)
+        if plan is None:
+            if len(plans) >= DECISION_CACHE_LIMIT:
+                plans.clear()
+            plan = plans[plan_key] = _plan_round(bids, held, m)
+        demanded, steps = plan
         if demanded and t >= max_rounds:
             partial = AuctionOutcome(
-                allocation=tuple(provisional),
-                prices=current_prices,
-                rounds=t,
+                allocation=held, prices=current_prices, rounds=t,
                 records=tuple(records) if records is not None else None,
                 diverged=True,
             )
             raise Divergence(max_rounds, partial)
 
         draws: list[Draw] | None = [] if records is not None else None
-        _settle_round(prices, provisional, owners, bids, demanded, choose, draws)
+        _settle(prices, provisional, steps, choose, draws)
         new_prices = tuple(prices)
+        held = tuple(provisional)
         if records is not None:
             records.append(
                 RoundRecord(
                     t=t,
                     prices_before=current_prices,
-                    bids=tuple(bids),
+                    bids=bids_key,
                     excess=demanded,
                     draws=tuple(draws),
                     prices_after=new_prices,
-                    provisional=tuple(provisional),
+                    provisional=held,
                 )
             )
         if not demanded:
             return AuctionOutcome(
-                allocation=tuple(provisional),
-                prices=current_prices,
-                rounds=t,
+                allocation=held, prices=current_prices, rounds=t,
                 records=tuple(records) if records is not None else None,
             )
 
@@ -460,7 +460,7 @@ class ReplayResult:
 def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
     """Re-run a complete trace from the empty start, verifying every step.
 
-    Every round goes through the same bid check, settlement and record as
+    Every round goes through the same plan, settlement and record as
     run_auction, with each contested item handed to its recorded winner
     (who must be among the recomputed candidates). The rebuilt record must
     equal the recorded one: round number, prices, demanded set, every draw
@@ -474,7 +474,6 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
     n = len(records[0].bids)
     prices = [0] * m
     provisional = [0] * n
-    owners = [-1] * m
     terminal = False
     rounds = 0
     for expect_t, record in enumerate(records):
@@ -483,17 +482,17 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
         if len(record.bids) != n:
             raise TraceMismatch(f"round {expect_t}: bidder count changed")
         try:
-            demanded = _validate_bids(record.bids, provisional, m)
+            demanded, steps = _plan_round(record.bids, provisional, m)
         except InvalidBid as exc:
             raise TraceMismatch(f"round {expect_t}: {exc}") from None
         contested = iter([d for d in record.draws if len(d.candidates) > 1])
 
-        def choose(cands: list[int]) -> int:
+        def choose(cands: tuple[int, ...]) -> int:
             draw = next(contested, None)
-            if draw is None or list(draw.candidates) != cands:
+            if draw is None or tuple(draw.candidates) != cands:
                 raise TraceMismatch(
                     f"round {expect_t}: next recorded contested draw {draw} "
-                    f"does not match candidates {tuple(cands)}"
+                    f"does not match candidates {cands}"
                 )
             if draw.chosen not in cands:
                 raise TraceMismatch(
@@ -504,7 +503,7 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
 
         prices_before = tuple(prices)
         draws: list[Draw] = []
-        _settle_round(prices, provisional, owners, record.bids, demanded, choose, draws)
+        _settle(prices, provisional, steps, choose, draws)
         replayed = RoundRecord(
             t=expect_t,
             prices_before=prices_before,

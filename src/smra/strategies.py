@@ -43,7 +43,8 @@ class BidContext:
     every rule prices bundles through them alone. The history sequences
     are live views shared with the runner and must not be mutated.
 
-    The runner refreshes a bidder's context only when it calls propose.
+    The runner builds a bidder's context on its first propose, with full
+    histories whatever the round, and refreshes it on each later propose.
     The built-in truthful, secure and locally optimal rules are memoised
     per valuation object, keyed by (own set, prices) -- plus last round's
     bid minus the own set for local search from the previous bid -- so on

@@ -284,6 +284,23 @@ def test_run_auction_polices_strategy_output():
     assert (exc_info.value.bidder, exc_info.value.mask) == (1, BAD_BIDS[1])
 
 
+def test_an_invalid_bid_raises_every_time_its_key_recurs():
+    # Round 1 repeats round 0's bids while bidder 0 holds item 0: a plan is
+    # keyed by the holdings too, and a plan that raises is never cached.
+    asked = []
+
+    def rebid(ctx):
+        asked.append(ctx.t)
+        return 0b1
+
+    rules = (CallableStrategy(rebid), CallableStrategy(lambda ctx: 0))
+    for _ in range(3):
+        with pytest.raises(InvalidBid) as exc_info:
+            run_auction((AdditiveValuation((9,)),) * 2, rules, seed=0)
+        assert (exc_info.value.bidder, exc_info.value.mask) == (0, 0b1)
+    assert asked == [0, 1] * 3
+
+
 def test_observer_sees_every_settled_round():
     seen = []
     outcome, _ = _bad_pair_outcome(3)
@@ -315,6 +332,35 @@ def test_strategies_see_consistent_histories():
     )
     reference, _ = _bad_pair_outcome(4)
     assert outcome == reference
+
+
+def test_contexts_built_after_round_0_see_full_histories(monkeypatch):
+    # bad_pair's bidders share one valuation, so bidder 1 meets bidder 0's
+    # round-0 key in the memo and is first asked, and given a context, later
+    views = []
+
+    def viewed(ctx):
+        views.append((
+            ctx.bidder, ctx.t, tuple(ctx.price_history),
+            tuple(ctx.own_set_history), tuple(ctx.own_bid_history),
+            ctx.prices, ctx.own_set,
+        ))
+        return truthful_bid(ctx)
+
+    monkeypatch.setattr(strategies, "truthful_bid", viewed)
+    outcome, _ = _bad_pair_outcome(5)
+    first_asked = {}
+    for view in views:
+        first_asked.setdefault(view[0], view[1])
+    assert first_asked[1] > 0
+    for i, t, prices, own_sets, own_bids, current, own in views:
+        done = outcome.records[:t]
+        assert prices == ((0,) * len(current),) + tuple(
+            r.prices_after for r in done
+        )
+        assert own_sets == (0,) + tuple(r.provisional[i] for r in done)
+        assert own_bids == tuple(r.bids[i] for r in done)
+        assert (current, own) == (prices[-1], own_sets[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,14 @@ def scripted_auctions(draw):
     return m, scripts, seed
 
 
+# Rounds 1 and 3 share one plan key -- bids (1, 1, 0) while bidder 2 holds
+# the item -- and seed 4 hands the contested item to bidder 0, then 1.
+REPEATED_CONTEST = (1, ((0, 1, 0, 1), (0, 1, 0, 1), (1, 0, 1, 0)), 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scripted_auctions())
+@example(REPEATED_CONTEST)
 def test_engine_invariants_hold_for_any_scripts(instance):
     m, scripts, seed = instance
     valuations = tuple(AdditiveValuation((1,) * m) for _ in scripts)
@@ -171,6 +177,19 @@ def test_engine_invariants_hold_for_any_scripts(instance):
     for record in outcome.records:
         state = run_round(state, record.bids, rng)
     assert state.history == outcome.records
+
+
+def test_a_recurring_plan_key_still_draws_afresh():
+    m, scripts, seed = REPEATED_CONTEST
+    outcome = run_auction(
+        tuple(AdditiveValuation((1,) * m) for _ in scripts),
+        tuple(ScriptedStrategy(s) for s in scripts),
+        seed=seed,
+    )
+    first, again = outcome.records[1], outcome.records[3]
+    assert first.bids == again.bids
+    assert outcome.records[0].provisional == outcome.records[2].provisional
+    assert [d.chosen for d in first.draws + again.draws] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
