@@ -133,15 +133,21 @@ class Scenario:
 
 def scenario_from_spec(spec: dict) -> Scenario:
     """Build a scenario from its JSON description (no events attach)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"scenario JSON must be an object, got {spec!r}")
     for key in ("name", "m", "bidders"):
         if key not in spec:
             raise ValueError(f"scenario JSON is missing {key!r}")
+    if not isinstance(spec["name"], str):
+        raise ValueError(f"name must be a string, got {spec['name']!r}")
     m = spec["m"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    if not isinstance(spec["bidders"], list):
+        raise ValueError(f"bidders must be a list, got {spec['bidders']!r}")
     bidders = []
     for i, b in enumerate(spec["bidders"]):
-        if "valuation" not in b or "strategy" not in b:
+        if not isinstance(b, dict) or "valuation" not in b or "strategy" not in b:
             raise ValueError(f"bidder {i} needs 'valuation' and 'strategy'")
         valuation = valuation_from_spec(b["valuation"])
         strategy = strategy_from_spec(b["strategy"], m)
@@ -465,64 +471,53 @@ class TrialRow:
     events: tuple[bool, ...]
 
 
-def _trial_row(
+def _run_chunk(
     scenario: Scenario,
-    valuations,
-    strategies,
+    master_seed: int,
     optimal_value: int,
-    trial: int,
-    seed: int,
-    max_rounds,
+    max_rounds: Optional[int],
     collect_lambda: bool,
     subset_cap: int,
-    record_trace: bool,
-):
-    try:
-        outcome = run_auction(
-            valuations,
-            strategies,
-            seed,
-            max_rounds=max_rounds,
-            record_trace=record_trace,
-        )
-    except Divergence as exc:
-        outcome = exc.outcome
-    w = welfare(outcome.allocation, valuations)
-    ratio = Fraction(w, optimal_value) if optimal_value else Fraction(1)
-    lam = None
-    if collect_lambda and outcome.records is not None:
-        lam = measure_rationality(outcome, valuations, subset_cap).lam
-    events = tuple(
-        bool(ev.check(outcome, w)) for ev in scenario.events
-    )
-    row = TrialRow(
-        trial=trial,
-        seed=seed,
-        rounds=outcome.rounds,
-        welfare=w,
-        ratio=ratio,
-        lam=lam,
-        diverged=outcome.diverged,
-        events=events,
-    )
-    return row, outcome
-
-
-def _run_chunk(args) -> list[TrialRow]:
-    (scenario, master_seed, start, stop, optimal_value, max_rounds,
-     collect_lambda, subset_cap) = args
+    trace_path: Optional[str],
+    trials: range,
+) -> list[TrialRow]:
+    """The rows of the given trial indices: the one trial loop behind the
+    serial, pooled and traced runs. A trace_path (single-trial runs only)
+    receives the trial's JSONL trace."""
     valuations = scenario.valuations
     strategies = scenario.strategies
-    record = collect_lambda
+    record_trace = collect_lambda or trace_path is not None
     rows = []
-    for trial in range(start, stop):
-        row, _ = _trial_row(
-            scenario, valuations, strategies, optimal_value, trial,
-            derive_seed(master_seed, trial), max_rounds, collect_lambda,
-            subset_cap, record,
-        )
-        rows.append(row)
+    for trial in trials:
+        seed = derive_seed(master_seed, trial)
+        try:
+            outcome = run_auction(
+                valuations, strategies, seed,
+                max_rounds=max_rounds, record_trace=record_trace,
+            )
+        except Divergence as exc:
+            outcome = exc.outcome
+        w = welfare(outcome.allocation, valuations)
+        lam = None
+        if collect_lambda:
+            lam = measure_rationality(outcome, valuations, subset_cap).lam
+        rows.append(TrialRow(
+            trial=trial,
+            seed=seed,
+            rounds=outcome.rounds,
+            welfare=w,
+            ratio=Fraction(w, optimal_value) if optimal_value else Fraction(1),
+            lam=lam,
+            diverged=outcome.diverged,
+            events=tuple(bool(ev.check(outcome, w)) for ev in scenario.events),
+        ))
+        if trace_path is not None:
+            write_trace_jsonl(outcome.records, trace_path)
     return rows
+
+
+_CSV_PREFIX = ("trial", "seed", "rounds", "welfare", "optimal", "ratio_num",
+               "ratio_den", "lambda_num", "lambda_den", "diverged")
 
 
 @dataclass(frozen=True)
@@ -560,9 +555,7 @@ class TrialStats:
             return
         writer = csv.writer(file)
         writer.writerow(
-            ["trial", "seed", "rounds", "welfare", "optimal", "ratio_num",
-             "ratio_den", "lambda_num", "lambda_den", "diverged"]
-            + [f"event_{name}" for name in self.event_names]
+            list(_CSV_PREFIX) + [f"event_{name}" for name in self.event_names]
         )
         for row in self.rows:
             if row.lam is None:
@@ -619,18 +612,15 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
         with open(file, "r", encoding="utf-8", newline="") as handle:
             return read_rows_csv(handle)
     reader = csv.reader(file)
-    header = next(reader)
-    prefix = ["trial", "seed", "rounds", "welfare", "optimal", "ratio_num",
-              "ratio_den", "lambda_num", "lambda_den", "diverged"]
-    if header[: len(prefix)] != prefix:
+    header = next(reader, [])  # an empty file has no header
+    width = len(_CSV_PREFIX)
+    if tuple(header[:width]) != _CSV_PREFIX:
         raise ValueError(f"unexpected CSV header {header!r}")
-    event_names = tuple(
-        name[len("event_"):] for name in header[len(prefix):]
-    )
+    event_names = tuple(name[len("event_"):] for name in header[width:])
     rows = []
     for rec in reader:
         (trial, seed, rounds, w, _optimal, rnum, rden, lnum, lden,
-         diverged) = rec[: len(prefix)]
+         diverged) = rec[:width]
         if lnum == "":
             lam: Union[Fraction, float, None] = None
         elif lnum == "inf":
@@ -646,7 +636,7 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
                 ratio=Fraction(int(rnum), int(rden)),
                 lam=lam,
                 diverged=bool(int(diverged)),
-                events=tuple(bool(int(x)) for x in rec[len(prefix):]),
+                events=tuple(bool(int(x)) for x in rec[width:]),
             )
         )
     return event_names, rows
@@ -679,39 +669,23 @@ def run_trials(
         raise ValueError("a trace can only be written for a single trial")
 
     optimal = optimal_welfare(scenario.valuations)
-    event_names = tuple(ev.name for ev in scenario.events)
-
-    if trace_path is not None:
-        row, outcome = _trial_row(
-            scenario, scenario.valuations, scenario.strategies, optimal.welfare,
-            0, derive_seed(seed, 0), max_rounds, collect_lambda, subset_cap,
-            record_trace=True,
-        )
-        write_trace_jsonl(outcome.records, trace_path)
-        rows = [row]
-    elif jobs == 1 or trials == 1:
-        rows = _run_chunk(
-            (scenario, seed, 0, trials, optimal.welfare, max_rounds,
-             collect_lambda, subset_cap)
-        )
+    chunk = partial(_run_chunk, scenario, seed, optimal.welfare, max_rounds,
+                    collect_lambda, subset_cap, trace_path)
+    jobs = min(jobs, trials)
+    if jobs == 1:
+        rows = chunk(range(trials))
     else:
-        jobs = min(jobs, trials)
-        chunk = -(-trials // jobs)
-        args = [
-            (scenario, seed, start, min(start + chunk, trials), optimal.welfare,
-             max_rounds, collect_lambda, subset_cap)
-            for start in range(0, trials, chunk)
-        ]
-        rows = []
+        size = -(-trials // jobs)
+        parts = [range(trials)[start:start + size]
+                 for start in range(0, trials, size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_run_chunk, args):
-                rows.extend(part)
+            rows = [row for part in pool.map(chunk, parts) for row in part]
 
     return TrialStats(
         scenario_name=scenario.name,
         m=scenario.m,
         master_seed=seed,
         optimal=optimal.welfare,
-        event_names=event_names,
+        event_names=tuple(ev.name for ev in scenario.events),
         rows=tuple(rows),
     )

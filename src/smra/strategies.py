@@ -124,9 +124,10 @@ def truthful_bid(ctx: BidContext) -> int:
 def _climb(ctx: BidContext, start: int, comp: int, own: int) -> tuple[int, int]:
     """Best-improvement hill climb over single add/delete/swap moves.
 
-    Returns (bid, its conditional value v(own+bid) - cost(bid)). Move ties
-    break delete < add < swap, then by item index (by (out, in) for swaps),
-    so the climb is deterministic.
+    Returns (bid, its conditional value v(own+bid) - cost(bid)). Moves are
+    tried deletes, then adds, then swaps, each by ascending item (by
+    (out, in) for swaps), and only a strictly larger gain replaces the
+    best, so ties go to the first move in that order.
     """
     table = ctx.value_table
     sums = ctx.price_sums
@@ -139,30 +140,26 @@ def _climb(ctx: BidContext, start: int, comp: int, own: int) -> tuple[int, int]:
     u = util(current)
     while True:
         best_gain = 0
-        best_rank: tuple | None = None
         best_mask = current
         for j in iter_items(current):  # deletes
             cand = current ^ (1 << j)
             gain = util(cand) - u
-            if gain > best_gain or (gain == best_gain and best_rank is not None
-                                    and (0, j) < best_rank):
-                best_gain, best_rank, best_mask = gain, (0, j), cand
+            if gain > best_gain:
+                best_gain, best_mask = gain, cand
         outside = comp & ~current
         for j in iter_items(outside):  # adds
             cand = current | (1 << j)
             gain = util(cand) - u
-            if gain > best_gain or (gain == best_gain and best_rank is not None
-                                    and (1, j) < best_rank):
-                best_gain, best_rank, best_mask = gain, (1, j), cand
+            if gain > best_gain:
+                best_gain, best_mask = gain, cand
         for out in iter_items(current):  # swaps
             base = current ^ (1 << out)
             for inn in iter_items(outside):
                 cand = base | (1 << inn)
                 gain = util(cand) - u
-                if gain > best_gain or (gain == best_gain and best_rank is not None
-                                        and (2, out, inn) < best_rank):
-                    best_gain, best_rank, best_mask = gain, (2, out, inn), cand
-        if best_rank is None or best_gain <= 0:
+                if gain > best_gain:
+                    best_gain, best_mask = gain, cand
+        if best_gain == 0:
             return current, u
         current = best_mask
         u += best_gain
@@ -436,6 +433,9 @@ def strategy_from_spec(spec: dict, m: int) -> Strategy:
     if kind == "scripted":
         if "script" not in spec:
             raise ValueError("scripted strategy needs a 'script' list")
-        script = tuple(mask_of(step, m) for step in spec["script"])
+        try:
+            script = tuple(mask_of(step, m) for step in spec["script"])
+        except TypeError as exc:
+            raise ValueError(f"malformed scripted strategy spec: {exc}") from None
         return ScriptedStrategy(script)
     raise ValueError(f"unknown strategy kind {kind!r}")

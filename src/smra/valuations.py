@@ -109,18 +109,7 @@ class TableValuation(Valuation):
         n = len(vals)
         if n < 2 or n & (n - 1):
             raise ValueError(f"table length must be 2**m with m >= 1, got {n}")
-        if vals[0] != 0:
-            raise NotMonotone(f"value of the empty bundle must be 0, got {vals[0]}")
-        for mask in range(1, n):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if vals[mask] < vals[mask ^ low]:
-                    raise NotMonotone(
-                        f"not monotone: v({mask:#x}) = {vals[mask]} < "
-                        f"v({mask ^ low:#x}) = {vals[mask ^ low]}"
-                    )
+        _check_table_monotone(vals, n.bit_length() - 1)
 
     @property
     def universe_size(self) -> int:
@@ -369,6 +358,8 @@ def valuation_from_spec(spec: dict) -> Valuation:
             raise ValueError(f"unknown valuation form {form!r}")
     except KeyError as exc:
         raise ValueError(f"valuation spec for {form!r} is missing {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed {form!r} valuation spec: {exc}") from None
     declared = spec.get("universe_size")
     if declared is not None and declared != v.universe_size:
         raise UniverseMismatch(
@@ -427,7 +418,8 @@ def _check_table_monotone(table, m: int) -> None:
             rest ^= low
             if v < table[mask ^ low]:
                 raise NotMonotone(
-                    f"not monotone: v({mask:#x}) < v({mask ^ low:#x})"
+                    f"not monotone: v({mask:#x}) = {v} < "
+                    f"v({mask ^ low:#x}) = {table[mask ^ low]}"
                 )
 
 
@@ -518,6 +510,10 @@ def random_near_submodular(
     The result is re-checked exactly before being returned. Deterministic
     per seed. Total value is kept within (0, value_cap]; if the budget of
     attempts runs out (e.g. value_cap == 0), raises GenerationFailed.
+
+    m is capped at 10, well below TABLE_LIMIT, because every attempt pays
+    the exact O(m^2 * 2^m) recheck and a call may make up to
+    _GENERATION_ATTEMPTS (200) of them.
     """
     if not 1 <= m <= 10:
         raise ValueError(f"m must be in 1..10, got {m}")

@@ -274,3 +274,24 @@ MALFORMED_LINES = [
     json.dumps({**GOOD_LINE, "excess": [0, 2]}),  # item outside the universe
     json.dumps({**GOOD_LINE, "prices_before": 0}),
 ]
+
+
+# Scenario JSON documents of the wrong shape, each of which `smra run
+# --scenario` must refuse with exit code 2.
+_GOOD_BIDDER = {
+    "valuation": {"form": "additive", "weights": [1, 1]},
+    "strategy": {"kind": "truthful"},
+}
+MALFORMED_SCENARIOS = [
+    5,  # not an object
+    {"name": ["x"], "m": 2, "bidders": [_GOOD_BIDDER]},  # name not a string
+    {"name": "x", "m": True, "bidders": [  # m not an integer
+        {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": [1]}}]},
+    {"name": "x", "m": 2, "bidders": 5},  # bidders not a list
+    {"name": "x", "m": 2, "bidders": [3]},  # a bidder that is not an object
+    {"name": "x", "m": 2, "bidders": ["valuation strategy"]},
+    {"name": "x", "m": 2, "bidders": [
+        {**_GOOD_BIDDER, "strategy": {"kind": "scripted", "script": [5]}}]},
+    {"name": "x", "m": 2, "bidders": [
+        {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": 5}}]},
+]

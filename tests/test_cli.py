@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import MALFORMED_LINES
+from helpers import MALFORMED_LINES, MALFORMED_SCENARIOS
 from smra import read_rows_csv, aggregate_rows
 from smra.cli import main
 
@@ -223,6 +223,11 @@ def test_analyze_rejects_bad_valuations(capsys):
     # malformed JSON text
     code, _, _ = run_cli(capsys, "analyze", "--json", "{nope")
     assert code == 2
+    # weights that are not a list
+    code, _, _ = run_cli(
+        capsys, "analyze", "--json", '{"form": "additive", "weights": 5}'
+    )
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,17 @@ def test_trace_requires_a_single_trial(capsys, tmp_path):
 def test_missing_scenario_file(capsys):
     code, _, _ = run_cli(capsys, "run", "--scenario", "/nonexistent.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec", MALFORMED_SCENARIOS, ids=range(len(MALFORMED_SCENARIOS))
+)
+def test_run_rejects_malformed_scenario_files(capsys, tmp_path, spec):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert code == 2
+    assert "error" in err
 
 
 def test_unknown_builtin_is_an_argparse_error(capsys):

@@ -312,11 +312,15 @@ def test_local_tight_optimal_is_frozen():
 
 def test_rows_do_not_depend_on_jobs():
     sc = build_bad_pair(10)
-    serial = run_trials(sc, 40, seed=3)
-    parallel = run_trials(sc, 40, seed=3, jobs=2)
-    assert serial.rows == parallel.rows
-    assert [r.trial for r in serial.rows] == list(range(40))
-    assert [r.seed for r in serial.rows] == [derive_seed(3, i) for i in range(40)]
+    # an even split, an uneven split and more jobs than trials
+    for trials, jobs in ((40, 2), (10, 3), (3, 8)):
+        serial = run_trials(sc, trials, seed=3)
+        parallel = run_trials(sc, trials, seed=3, jobs=jobs)
+        assert serial.rows == parallel.rows
+        assert [r.trial for r in serial.rows] == list(range(trials))
+        assert [r.seed for r in serial.rows] == [
+            derive_seed(3, i) for i in range(trials)
+        ]
 
 
 def test_trial_traces_replay(tmp_path):
@@ -327,6 +331,13 @@ def test_trial_traces_replay(tmp_path):
     assert result.terminal
     assert result.rounds == row.rounds
     assert welfare(result.provisional, build_bad_pair(10).valuations) == row.welfare
+    # the trace bytes depend neither on jobs nor on the lambda scan
+    data = (tmp_path / "trace.jsonl").read_bytes()
+    for name, options in (("jobs.jsonl", {"jobs": 2}),
+                          ("plain.jsonl", {"collect_lambda": False})):
+        other = tmp_path / name
+        run_trials(build_bad_pair(10), 1, seed=7, trace_path=str(other), **options)
+        assert other.read_bytes() == data
 
 
 def test_run_trials_validates_arguments():
@@ -414,3 +425,5 @@ def test_csv_file_round_trip(tmp_path):
 def test_read_rows_rejects_foreign_headers():
     with pytest.raises(ValueError):
         read_rows_csv(io.StringIO("a,b,c\n1,2,3\n"))
+    with pytest.raises(ValueError):
+        read_rows_csv(io.StringIO(""))

@@ -348,3 +348,5 @@ def test_strategy_from_spec_rejects_malformed_specs():
         strategy_from_spec("truthful", 2)
     with pytest.raises(ValueError):
         strategy_from_spec({"kind": "scripted"}, 2)
+    with pytest.raises(ValueError):
+        strategy_from_spec({"kind": "scripted", "script": [5]}, 2)
