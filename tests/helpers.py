@@ -15,8 +15,11 @@ from fractions import Fraction
 from math import inf
 from typing import Optional, Sequence
 
-from smra import BidContext, Valuation, masked_price_sums
-from smra.itemsets import popcount_table
+from smra import BidContext, RationalityReport, Valuation, masked_price_sums
+from smra.itemsets import (
+    items_of, iter_items, mask_size, popcount_table, submasks,
+)
+from smra.mechanism import AuctionOutcome
 
 
 def naive_degree(valuation: Valuation):
@@ -95,6 +98,71 @@ def reference_optimal_welfare(
         assignment[i] = choices[i][mask]
         mask ^= assignment[i]
     return best[size - 1], tuple(assignment)
+
+
+class _RatioMax:
+    """Running max of price/value ratios in exact integer arithmetic."""
+
+    __slots__ = ("num", "den", "witness")
+
+    def __init__(self):
+        self.num = 0
+        self.den = 1  # (0, 1) = nothing seen; den == 0 = +inf
+        self.witness = None
+
+    def update(self, price: int, value: int, witness) -> None:
+        if self.den == 0:
+            return
+        if value == 0:
+            self.num, self.den, self.witness = 1, 0, witness
+        elif price * self.den > self.num * value:
+            self.num, self.den, self.witness = price, value, witness
+
+    def result(self):
+        if self.den == 0:
+            return inf, self.witness
+        if self.num == 0:
+            return Fraction(1), None
+        return Fraction(self.num, self.den), self.witness
+
+
+def reference_measure_rationality(
+    outcome: AuctionOutcome,
+    valuations: Sequence[Valuation],
+    subset_cap: int = 20,
+) -> RationalityReport:
+    """The plain rationality scan: after every recorded round, every
+    bidder's holding and every subset of it (the full set and singletons
+    only above subset_cap items), each priced item by item, the running
+    max replaced only on a strictly larger ratio."""
+    if outcome.records is None:
+        raise ValueError("outcome carries no trace; run with record_trace=True")
+    tables = [v.value_table() for v in valuations]
+    overall = _RatioMax()
+    full_only = _RatioMax()
+    for record in outcome.records:
+        prices = record.prices_after
+        for i, held in enumerate(record.provisional):
+            if not held:
+                continue
+            table = tables[i]
+            p_full = sum(prices[j] for j in iter_items(held))
+            if p_full > 0:
+                full_only.update(p_full, table[held], (record.t, i, items_of(held)))
+            if mask_size(held) <= subset_cap:
+                examined = submasks(held)
+            else:
+                examined = (held, *(1 << j for j in iter_items(held)))
+            for sub in examined:
+                p = sum(prices[j] for j in iter_items(sub))
+                if p > 0:
+                    overall.update(p, table[sub], (record.t, i, items_of(sub)))
+
+    lam, witness = overall.result()
+    lam_full, witness_full = full_only.result()
+    return RationalityReport(
+        lam=lam, lam_full=lam_full, witness=witness, witness_full=witness_full
+    )
 
 
 def naive_price(prices: Sequence[int], bundle: int, own: int = 0,
@@ -273,6 +341,7 @@ MALFORMED_LINES = [
     json.dumps({**GOOD_LINE, "draws": [{"item": 0, "chosen": 0}]}),
     json.dumps({**GOOD_LINE, "excess": [0, 2]}),  # item outside the universe
     json.dumps({**GOOD_LINE, "prices_before": 0}),
+    json.dumps({**GOOD_LINE, "bids": [[0, True], [1]]}),  # a bool as an item
 ]
 
 
@@ -294,4 +363,6 @@ MALFORMED_SCENARIOS = [
         {**_GOOD_BIDDER, "strategy": {"kind": "scripted", "script": [5]}}]},
     {"name": "x", "m": 2, "bidders": [
         {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": 5}}]},
+    {"name": "x", "m": 2, "bidders": [  # a JSON bool as an item
+        {**_GOOD_BIDDER, "strategy": {"kind": "scripted", "script": [[True]]}}]},
 ]
