@@ -38,9 +38,14 @@ def items_of(mask: int) -> tuple[int, ...]:
 
 
 def mask_of(items: Iterable[int], m: int | None = None) -> int:
-    """Build a mask from item indices, validating against a universe size."""
+    """Build a mask from item indices, validating against a universe size.
+
+    Raises TypeError on an item that is not an int (a bool included, so
+    JSON true/false never pass as items 1 and 0)."""
     mask = 0
     for item in items:
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise TypeError(f"item {item!r} is not an integer")
         if item < 0 or (m is not None and item >= m):
             raise UniverseMismatch(f"item {item} outside universe of size {m}")
         mask |= 1 << item

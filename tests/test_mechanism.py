@@ -34,7 +34,7 @@ from smra import (
     write_trace_jsonl,
 )
 from smra import mechanism, strategies
-from smra.itemsets import popcount_table
+from smra.itemsets import mask_of, popcount_table
 from smra.mechanism import decision_memo, default_max_rounds
 from smra.scenarios import build_bad_pair
 
@@ -232,6 +232,15 @@ def test_popcount_table_is_built_once_per_size():
     table = popcount_table(5)
     assert table is popcount_table(5)  # shared, so it must be immutable
     assert table == tuple(bin(mask).count("1") for mask in range(32))
+
+
+def test_mask_of_takes_only_integer_items():
+    assert mask_of([0, 2], 3) == 0b101
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            mask_of([bad], 3)
+    with pytest.raises(UniverseMismatch):
+        mask_of([3], 3)
 
 
 def test_divergence_carries_partial_outcome():
