@@ -240,7 +240,8 @@ def run_auction(
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
     settled round with (t, prices_after, provisional_masks); the masks
-    list is live and must not be mutated.
+    list is live and must not be mutated. run_trials measures λ this way,
+    with oracle.RationalityScan.update as the observer.
 
     Raises InvalidBid for a bid outside the universe or overlapping the
     bidder's own holdings, OracleTooLarge before round 0 if the universe

@@ -2,20 +2,23 @@
 
 optimal_welfare solves the winner-determination problem exactly by
 dynamic programming over item subsets; welfare_ratio compares a realized
-outcome against it in exact rational arithmetic; measure_rationality
-scans a recorded trace for the worst price-to-value ratio any bidder was
-ever exposed to.
+outcome against it in exact rational arithmetic; RationalityScan follows
+an auction round by round, and measure_rationality a recorded trace, for
+the worst price-to-value ratio any bidder was ever exposed to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import inf
+from operator import ne
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
-from .itemsets import items_of, iter_items, mask_size, submasks
+from .itemsets import items_of
 from .mechanism import AuctionOutcome
 from .valuations import Valuation
 
@@ -177,30 +180,139 @@ class RationalityReport:
         }
 
 
-class _RatioMax:
-    """Running max of price/value ratios in exact integer arithmetic."""
+def _ratio(num: int, den: int, witness) -> tuple:
+    """A running max as (lam, decoded witness); den == 0 means +inf."""
+    if den == 0:
+        lam = inf
+    elif num == 0:
+        return Fraction(1), None
+    else:
+        lam = Fraction(num, den)
+    t, bidder, mask = witness
+    return lam, (t, bidder, items_of(mask))
 
-    __slots__ = ("num", "den", "witness")
 
-    def __init__(self):
-        self.num = 0
-        self.den = 1  # (0, 1) = nothing seen; den == 0 = +inf
-        self.witness = None
+def _submask_layout(held: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(items, subs): the held items ascending, and every submask of the
+    holding descending, as itemsets.submasks yields them. Adding the items
+    in this order, `sums = [s + price for s in sums] + sums` from [0]
+    leaves sums[r] = the posted price of subs[r]."""
+    items = []
+    subs = [0]
+    rest = held
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        items.append(low.bit_length() - 1)
+        subs = [s | low for s in subs] + subs
+    return tuple(items), tuple(subs)
 
-    def update(self, price: int, value: int, witness) -> None:
-        if self.den == 0:
-            return
-        if value == 0:
-            self.num, self.den, self.witness = 1, 0, witness
-        elif price * self.den > self.num * value:
-            self.num, self.den, self.witness = price, value, witness
 
-    def result(self) -> tuple[Union[Fraction, float], Optional[tuple]]:
-        if self.den == 0:
-            return inf, self.witness
-        if self.num == 0:
-            return Fraction(1), None
-        return Fraction(self.num, self.den), self.witness
+# Small holdings recur across rounds and auctions, and their layout is
+# most of their cost; 1024 layouts of at most 2**8 submasks stay small.
+_CACHED_LAYOUT_ITEMS = 8
+_cached_layout = lru_cache(maxsize=1 << 10)(_submask_layout)
+
+
+class RationalityScan:
+    """Degree of individual rationality of one auction, round by round.
+
+    Feed update() every round's post-state in order, as run_auction's
+    observer or from recorded rounds, then read report(). Every subset of
+    every holding with positive posted price offers price/value; a ratio
+    strictly above the running max replaces it, so ties keep the first
+    witness, and a zero value means +inf. Holdings of more than
+    subset_cap items offer only the full set and singletons; under
+    TABLE_LIMIT = 20 the default cap of 20 never triggers.
+
+    A holding's subset prices come from one DP over its items. A bidder
+    whose holding equals its holding at the previous update is skipped,
+    which is exact for rounds that follow the engine's rules: nobody
+    demanded those items, so their prices did not move and they offer
+    only ratios already seen. Witnesses stay (round, bidder, mask) until
+    report() decodes them.
+    """
+
+    __slots__ = ("_valuations", "_tables", "_subset_cap", "_last", "_num",
+                 "_den", "_witness", "_full_num", "_full_den", "_full_witness")
+
+    def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20):
+        self._valuations = valuations
+        self._tables = [None] * len(valuations)  # fetched on first holding
+        self._subset_cap = subset_cap
+        self._last = (0,) * len(valuations)
+        self._num, self._den, self._witness = 0, 1, None
+        self._full_num, self._full_den, self._full_witness = 0, 1, None
+
+    def update(
+        self, t: int, prices_after: Sequence[int], provisional: Sequence[int]
+    ) -> None:
+        """Examine one round's post-state (prices and holdings)."""
+        holdings = tuple(provisional)
+        last = self._last
+        self._last = holdings
+        tables = self._tables
+        for i in compress(range(len(holdings)), map(ne, holdings, last)):
+            held = holdings[i]
+            if not held:
+                continue
+            table = tables[i]
+            if table is None:
+                table = tables[i] = self._valuations[i].value_table()
+            if held & (held - 1):
+                self._examine(t, i, held, table, prices_after)
+            else:  # one item: the full set is the only priced subset
+                p = prices_after[held.bit_length() - 1]
+                if p:
+                    value = table[held]
+                    if p * self._full_den > self._full_num * value:
+                        self._full_num, self._full_den = p, value
+                        self._full_witness = (t, i, held)
+                    if p * self._den > self._num * value:
+                        self._num, self._den = p, value
+                        self._witness = (t, i, held)
+
+    def _examine(
+        self, t: int, i: int, held: int, table: Sequence[int],
+        prices_after: Sequence[int],
+    ) -> None:
+        """One holding of two or more items. A den of 0 (+inf) is final:
+        no later price * 0 exceeds num * value."""
+        size = held.bit_count()
+        if size > self._subset_cap:
+            items = items_of(held)
+            sums = [prices_after[j] for j in items]
+            subs = [1 << j for j in items]
+            sums.insert(0, sum(sums))
+            subs.insert(0, held)
+        else:
+            layout = (_cached_layout if size <= _CACHED_LAYOUT_ITEMS
+                      else _submask_layout)
+            items, subs = layout(held)
+            sums = [0]
+            for j in items:
+                price = prices_after[j]
+                sums = [s + price for s in sums] + sums
+        p_full = sums[0]
+        if p_full and p_full * self._full_den > self._full_num * table[held]:
+            self._full_num, self._full_den = p_full, table[held]
+            self._full_witness = (t, i, held)
+        num, den = self._num, self._den
+        if den:
+            for p, sub in zip(sums, subs):
+                if p and p * den > num * table[sub]:
+                    num, den = p, table[sub]
+                    self._witness = (t, i, sub)
+            self._num, self._den = num, den
+
+    def report(self) -> RationalityReport:
+        lam, witness = _ratio(self._num, self._den, self._witness)
+        lam_full, witness_full = _ratio(
+            self._full_num, self._full_den, self._full_witness
+        )
+        return RationalityReport(
+            lam=lam, lam_full=lam_full, witness=witness, witness_full=witness_full
+        )
 
 
 def measure_rationality(
@@ -210,36 +322,15 @@ def measure_rationality(
 ) -> RationalityReport:
     """Worst posted-price/value ratio over the whole recorded auction.
 
-    Examines, after every round, every bidder's provisional holding and
-    its subsets (only subsets with positive posted price count; a zero
-    value there means unbounded exposure). Holdings larger than
-    subset_cap items are checked at the full set and singletons only.
+    Feeds the recorded rounds to a RationalityScan: after every round,
+    every bidder's holding and each of its subsets with positive posted
+    price (a zero value there means unbounded exposure). Holdings larger
+    than subset_cap items are checked at the full set and singletons
+    only; under TABLE_LIMIT = 20 the default cap of 20 never triggers.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")
-    tables = [v.value_table() for v in valuations]
-    overall = _RatioMax()
-    full_only = _RatioMax()
+    scan = RationalityScan(valuations, subset_cap)
     for record in outcome.records:
-        prices = record.prices_after
-        for i, held in enumerate(record.provisional):
-            if not held:
-                continue
-            table = tables[i]
-            p_full = sum(prices[j] for j in iter_items(held))
-            if p_full > 0:
-                full_only.update(p_full, table[held], (record.t, i, items_of(held)))
-            if mask_size(held) <= subset_cap:
-                examined = submasks(held)
-            else:
-                examined = (held, *(1 << j for j in iter_items(held)))
-            for sub in examined:
-                p = sum(prices[j] for j in iter_items(sub))
-                if p > 0:
-                    overall.update(p, table[sub], (record.t, i, items_of(sub)))
-
-    lam, witness = overall.result()
-    lam_full, witness_full = full_only.result()
-    return RationalityReport(
-        lam=lam, lam_full=lam_full, witness=witness, witness_full=witness_full
-    )
+        scan.update(record.t, record.prices_after, record.provisional)
+    return scan.report()

@@ -27,7 +27,7 @@ from typing import Callable, IO, Optional, Sequence, Union
 from .errors import Divergence, InvalidPartition, UniverseMismatch
 from .itemsets import full_mask, items_of, mask_of, mask_size
 from .mechanism import run_auction, write_trace_jsonl
-from .oracle import measure_rationality, optimal_welfare, welfare
+from .oracle import RationalityScan, optimal_welfare, welfare
 from .strategies import (
     LocallyOptimalStrategy,
     ScriptedStrategy,
@@ -482,25 +482,27 @@ def _run_chunk(
     trials: range,
 ) -> list[TrialRow]:
     """The rows of the given trial indices: the one trial loop behind the
-    serial, pooled and traced runs. A trace_path (single-trial runs only)
-    receives the trial's JSONL trace."""
+    serial, pooled and traced runs. λ is measured as the auction streams,
+    by a RationalityScan observing every settled round (the terminal round
+    moves nothing, and a diverged trial's partial trace holds exactly the
+    rounds observed). A trace is recorded only for trace_path (single-trial
+    runs only), which receives the trial's JSONL trace."""
     valuations = scenario.valuations
     strategies = scenario.strategies
-    record_trace = collect_lambda or trace_path is not None
     rows = []
     for trial in trials:
         seed = derive_seed(master_seed, trial)
+        scan = RationalityScan(valuations, subset_cap) if collect_lambda else None
         try:
             outcome = run_auction(
                 valuations, strategies, seed,
-                max_rounds=max_rounds, record_trace=record_trace,
+                max_rounds=max_rounds, record_trace=trace_path is not None,
+                observer=scan.update if scan else None,
             )
         except Divergence as exc:
             outcome = exc.outcome
         w = welfare(outcome.allocation, valuations)
-        lam = None
-        if collect_lambda:
-            lam = measure_rationality(outcome, valuations, subset_cap).lam
+        lam = scan.report().lam if scan else None
         rows.append(TrialRow(
             trial=trial,
             seed=seed,

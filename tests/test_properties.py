@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     make_ctx,
@@ -13,6 +13,7 @@ from helpers import (
     naive_locally_optimal,
     naive_profit_max_secure,
     naive_truthful,
+    reference_measure_rationality,
     reference_optimal_welfare,
 )
 from smra import (
@@ -21,6 +22,7 @@ from smra import (
     Divergence,
     InsecureProvisionalState,
     LocallyOptimalStrategy,
+    RationalityScan,
     ScriptedStrategy,
     SecureProfitMaxStrategy,
     TableValuation,
@@ -368,3 +370,60 @@ def test_optimal_welfare_equals_the_plain_dp(valuations):
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
         valuations
     )
+
+
+# ---------------------------------------------------------------------------
+# Rationality: the streamed scan equals the plain item-by-item scan
+
+
+@st.composite
+def rationality_auctions(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    top = (1 << m) - 1
+    valuations = tuple(
+        draw(monotone_tables(min_m=m, max_m=m)) for _ in range(n)
+    )
+    scripts = st.lists(st.integers(0, top), max_size=4).map(ScriptedStrategy)
+    strategies = tuple(
+        draw(st.one_of(st.sampled_from(BUILTIN_RULES), scripts))
+        for _ in range(n)
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    subset_cap = draw(st.sampled_from([0, 1, 2, 20]))
+    return valuations, strategies, seed, subset_cap
+
+
+def _scripted(values, *scripts):
+    return (tuple(TableValuation(v) for v in values),
+            tuple(ScriptedStrategy(s) for s in scripts))
+
+
+# Bidder 0 keeps item 0 (ratio 1 from round 0) while bidder 1 wins item 1
+# at the same ratio in round 1: the first witness stays.
+_KEPT = _scripted([(0, 1, 1, 2)] * 2, (0b01,), (0, 0b10))
+# Bidder 0 holds {0}, then {1}, then {0} again at higher prices.
+_ABA = _scripted([(0, 2, 3, 5)] * 2, (0b01, 0b10, 0b01), (0, 0b01, 0b10))
+# Ratio 1 on item 0 in round 0, then worthless item 1 is priced: +inf.
+_WORTHLESS = _scripted([(0, 1, 0, 1)], (0b01, 0b10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationality_auctions())
+@example((*_KEPT, 0, 20))
+@example((*_ABA, 0, 20))
+@example((*_WORTHLESS, 0, 20))
+@example((*_WORTHLESS, 0, 1))
+def test_rationality_scan_equals_the_reference(instance):
+    valuations, strategies, seed, subset_cap = instance
+    scan = RationalityScan(valuations, subset_cap)
+    try:
+        outcome = run_auction(valuations, strategies, seed=seed,
+                              max_rounds=60, observer=scan.update)
+    except Divergence as exc:  # its records are the rounds observed
+        outcome = exc.outcome
+    except InsecureProvisionalState:
+        assume(False)
+    reference = reference_measure_rationality(outcome, valuations, subset_cap)
+    assert measure_rationality(outcome, valuations, subset_cap) == reference
+    assert scan.report() == reference

@@ -8,9 +8,11 @@ from math import inf
 
 import pytest
 
+from helpers import reference_measure_rationality
 from smra import (
     AdditiveValuation,
     BidderSpec,
+    Divergence,
     InvalidPartition,
     LocallyOptimalStrategy,
     Scenario,
@@ -28,10 +30,12 @@ from smra import (
     read_rows_csv,
     read_trace_jsonl,
     replay_trace,
+    run_auction,
     run_trials,
     scenario_from_spec,
     welfare,
 )
+from smra import scenarios
 from smra.scenarios import (
     BUILTIN_SCENARIOS,
     build_bad_pair,
@@ -338,6 +342,37 @@ def test_trial_traces_replay(tmp_path):
         other = tmp_path / name
         run_trials(build_bad_pair(10), 1, seed=7, trace_path=str(other), **options)
         assert other.read_bytes() == data
+
+
+def test_diverged_rows_carry_the_lambda_of_their_partial_trace():
+    sc = build_bad_pair(10)
+    stats = run_trials(sc, 20, seed=3, max_rounds=5, collect_lambda=True)
+    assert 0 < sum(row.diverged for row in stats.rows) < len(stats.rows)
+    for row in stats.rows:
+        try:
+            outcome = run_auction(sc.valuations, sc.strategies, row.seed,
+                                  max_rounds=5, record_trace=True)
+        except Divergence as exc:
+            outcome = exc.outcome
+        assert outcome.diverged == row.diverged
+        assert row.lam == reference_measure_rationality(
+            outcome, sc.valuations).lam
+
+
+def test_lambda_streams_without_recording_a_trace(monkeypatch, tmp_path):
+    record_trace = []
+
+    def recording(*args, **kwargs):
+        record_trace.append(kwargs["record_trace"])
+        return run_auction(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_auction", recording)
+    stats = run_trials(build_bad_pair(10), 5, seed=3, collect_lambda=True)
+    assert record_trace == [False] * 5
+    assert all(row.lam is not None for row in stats.rows)
+    run_trials(build_bad_pair(10), 1, seed=3,
+               trace_path=str(tmp_path / "trace.jsonl"))
+    assert record_trace[5:] == [True]
 
 
 def test_run_trials_validates_arguments():
