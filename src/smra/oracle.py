@@ -324,9 +324,11 @@ def measure_rationality(
 
     Feeds the recorded rounds to a RationalityScan: after every round,
     every bidder's holding and each of its subsets with positive posted
-    price (a zero value there means unbounded exposure). Holdings larger
-    than subset_cap items are checked at the full set and singletons
-    only; under TABLE_LIMIT = 20 the default cap of 20 never triggers.
+    price (a zero value there means unbounded exposure), skipping
+    holdings unchanged since the previous round, which is exact for
+    rounds that follow the engine's rules. Holdings larger than
+    subset_cap items are checked at the full set and singletons only;
+    under TABLE_LIMIT = 20 the default cap of 20 never triggers.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")
