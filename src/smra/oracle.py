@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
+from itertools import compress, count, repeat
 from math import inf
-from operator import ne
+from operator import and_, ne, or_
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
@@ -192,28 +191,6 @@ def _ratio(num: int, den: int, witness) -> tuple:
     return lam, (t, bidder, items_of(mask))
 
 
-def _submask_layout(held: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(items, subs): the held items ascending, and every submask of the
-    holding descending, as itemsets.submasks yields them. Adding the items
-    in this order, `sums = [s + price for s in sums] + sums` from [0]
-    leaves sums[r] = the posted price of subs[r]."""
-    items = []
-    subs = [0]
-    rest = held
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        items.append(low.bit_length() - 1)
-        subs = [s | low for s in subs] + subs
-    return tuple(items), tuple(subs)
-
-
-# Small holdings recur across rounds and auctions, and their layout is
-# most of their cost; 1024 layouts of at most 2**8 submasks stay small.
-_CACHED_LAYOUT_ITEMS = 8
-_cached_layout = lru_cache(maxsize=1 << 10)(_submask_layout)
-
-
 class RationalityScan:
     """Degree of individual rationality of one auction, round by round.
 
@@ -226,21 +203,22 @@ class RationalityScan:
     TABLE_LIMIT = 20 the default cap of 20 never triggers.
 
     A holding's subset prices come from one DP over its items. A bidder
-    whose holding equals its holding at the previous update is skipped,
-    which is exact for rounds that follow the engine's rules: nobody
-    demanded those items, so their prices did not move and they offer
-    only ratios already seen. Witnesses stay (round, bidder, mask) until
-    report() decodes them.
+    whose holding, and the prices of its items, equal those at the
+    previous update is skipped: its subsets offer only ratios already
+    seen, and those never replace the max. Witnesses stay (round,
+    bidder, mask) until report() decodes them.
     """
 
-    __slots__ = ("_valuations", "_tables", "_subset_cap", "_last", "_num",
-                 "_den", "_witness", "_full_num", "_full_den", "_full_witness")
+    __slots__ = ("_valuations", "_tables", "_subset_cap", "_last", "_prices",
+                 "_num", "_den", "_witness", "_full_num", "_full_den",
+                 "_full_witness")
 
     def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20):
         self._valuations = valuations
         self._tables = [None] * len(valuations)  # fetched on first holding
         self._subset_cap = subset_cap
         self._last = (0,) * len(valuations)
+        self._prices = ()
         self._num, self._den, self._witness = 0, 1, None
         self._full_num, self._full_den, self._full_witness = 0, 1, None
 
@@ -251,48 +229,48 @@ class RationalityScan:
         holdings = tuple(provisional)
         last = self._last
         self._last = holdings
+        prices = tuple(prices_after)
+        moved = sum(
+            1 << j for j in compress(count(), map(ne, prices, self._prices))
+        )
+        self._prices = prices
+        # a bidder is examined when its holding changed or an item of it moved
+        examined = map(
+            or_, map(ne, holdings, last), map(and_, holdings, repeat(moved))
+        )
         tables = self._tables
-        for i in compress(range(len(holdings)), map(ne, holdings, last)):
+        for i in compress(range(len(holdings)), examined):
             held = holdings[i]
-            if not held:
-                continue
-            table = tables[i]
-            if table is None:
-                table = tables[i] = self._valuations[i].value_table()
-            if held & (held - 1):
-                self._examine(t, i, held, table, prices_after)
-            else:  # one item: the full set is the only priced subset
-                p = prices_after[held.bit_length() - 1]
-                if p:
-                    value = table[held]
-                    if p * self._full_den > self._full_num * value:
-                        self._full_num, self._full_den = p, value
-                        self._full_witness = (t, i, held)
-                    if p * self._den > self._num * value:
-                        self._num, self._den = p, value
-                        self._witness = (t, i, held)
+            if held:
+                table = tables[i]
+                if table is None:
+                    table = tables[i] = self._valuations[i].value_table()
+                self._examine(t, i, held, table, prices)
 
     def _examine(
         self, t: int, i: int, held: int, table: Sequence[int],
-        prices_after: Sequence[int],
+        prices: Sequence[int],
     ) -> None:
-        """One holding of two or more items. A den of 0 (+inf) is final:
-        no later price * 0 exceeds num * value."""
-        size = held.bit_count()
-        if size > self._subset_cap:
+        """One nonempty holding. A den of 0 (+inf) is final: no later
+        price * 0 exceeds num * value."""
+        if held.bit_count() > self._subset_cap:
             items = items_of(held)
-            sums = [prices_after[j] for j in items]
+            sums = [prices[j] for j in items]
             subs = [1 << j for j in items]
             sums.insert(0, sum(sums))
             subs.insert(0, held)
         else:
-            layout = (_cached_layout if size <= _CACHED_LAYOUT_ITEMS
-                      else _submask_layout)
-            items, subs = layout(held)
+            # adding the held items lowest first, sums[r] is the posted
+            # price of subs[r], every submask in descending order
             sums = [0]
-            for j in items:
-                price = prices_after[j]
+            subs = [0]
+            rest = held
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                price = prices[low.bit_length() - 1]
                 sums = [s + price for s in sums] + sums
+                subs = [s | low for s in subs] + subs
         p_full = sums[0]
         if p_full and p_full * self._full_den > self._full_num * table[held]:
             self._full_num, self._full_den = p_full, table[held]
@@ -324,11 +302,11 @@ def measure_rationality(
 
     Feeds the recorded rounds to a RationalityScan: after every round,
     every bidder's holding and each of its subsets with positive posted
-    price (a zero value there means unbounded exposure), skipping
-    holdings unchanged since the previous round, which is exact for
-    rounds that follow the engine's rules. Holdings larger than
-    subset_cap items are checked at the full set and singletons only;
-    under TABLE_LIMIT = 20 the default cap of 20 never triggers.
+    price (a zero value there means unbounded exposure), skipping a
+    holding that, with the prices of its items, is unchanged since the
+    previous round. Holdings larger than subset_cap items are checked at
+    the full set and singletons only; under TABLE_LIMIT = 20 the default
+    cap of 20 never triggers.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")

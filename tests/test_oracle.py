@@ -6,7 +6,7 @@ from math import inf
 
 import pytest
 
-from helpers import naive_optimal
+from helpers import naive_optimal, reference_measure_rationality
 from smra import (
     AdditiveValuation,
     InvalidAllocation,
@@ -158,6 +158,31 @@ def test_rationality_subset_cap_falls_back_to_full_and_singletons():
     report = measure_rationality(outcome, vals, subset_cap=2)
     assert report.lam == Fraction(1)  # the bad pair is no longer examined
     assert report.lam_full == Fraction(6, 20)
+
+
+def test_rationality_rescans_a_kept_holding_whose_prices_moved():
+    # the bidder keeps item 0 through both records, but its price rises
+    # from 1 to 3 in between: the second record carries the worse ratio
+    records = tuple(
+        RoundRecord(
+            t=t,
+            prices_before=(0, 0),
+            bids=(0b01,),
+            excess=0b01,
+            draws=(),
+            prices_after=(price, 0),
+            provisional=(0b01,),
+        )
+        for t, price in ((0, 1), (1, 3))
+    )
+    vals = (TableValuation((0, 2, 0, 2)),)
+    outcome = AuctionOutcome(
+        allocation=(0b01,), prices=(3, 0), rounds=2, records=records
+    )
+    report = measure_rationality(outcome, vals)
+    assert report == reference_measure_rationality(outcome, vals)
+    assert report.lam == Fraction(3, 2)
+    assert report.witness == (1, 0, (0,))
 
 
 def test_rationality_is_infinite_on_worthless_wins():
