@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from math import inf
-from operator import and_, ne, or_
+from operator import and_, ne
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
-from .valuations import Valuation
+from .valuations import TABLE_LIMIT, Valuation
 
 # The assignment DP touches n * 3**m (bidder, bundle-in-context) pairs.
 OPS_LIMIT = 50_000_000
+
+# One bit per item; a holding's items lie below TABLE_LIMIT, since no
+# valuation has a value table beyond it.
+_ITEM_BITS = tuple(1 << j for j in range(TABLE_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,9 @@ class RationalityScan:
     A holding's subset prices come from one DP over its items. A bidder
     whose holding, and the prices of its items, equal those at the
     previous update is skipped: its subsets offer only ratios already
-    seen, and those never replace the max. Witnesses stay (round,
-    bidder, mask) until report() decodes them.
+    seen, and those never replace the max. This is exact as long as no
+    item is held by two bidders at once, as in every auction round.
+    Witnesses stay (round, bidder, mask) until report() decodes them.
     """
 
     __slots__ = ("_valuations", "_tables", "_subset_cap", "_last", "_prices",
@@ -230,22 +235,26 @@ class RationalityScan:
         last = self._last
         self._last = holdings
         prices = tuple(prices_after)
-        moved = sum(
-            1 << j for j in compress(count(), map(ne, prices, self._prices))
-        )
+        moved = sum(compress(_ITEM_BITS, map(ne, prices, self._prices)))
         self._prices = prices
-        # a bidder is examined when its holding changed or an item of it moved
-        examined = map(
-            or_, map(ne, holdings, last), map(and_, holdings, repeat(moved))
-        )
         tables = self._tables
-        for i in compress(range(len(holdings)), examined):
+        changed = 0  # the items of every holding that changed
+        for i in compress(range(len(holdings)), map(ne, holdings, last)):
             held = holdings[i]
+            changed |= held
             if held:
                 table = tables[i]
                 if table is None:
                     table = tables[i] = self._valuations[i].value_table()
                 self._examine(t, i, held, table, prices)
+        # a moved price outside the changed holdings can only be on an
+        # unchanged holding or on no holding at all
+        stale = moved & ~changed
+        if stale:
+            kept = map(and_, holdings, repeat(stale))
+            for i in compress(range(len(holdings)), kept):
+                if holdings[i] == last[i]:
+                    self._examine(t, i, holdings[i], tables[i], prices)
 
     def _examine(
         self, t: int, i: int, held: int, table: Sequence[int],
@@ -262,9 +271,10 @@ class RationalityScan:
         else:
             # adding the held items lowest first, sums[r] is the posted
             # price of subs[r], every submask in descending order
-            sums = [0]
-            subs = [0]
-            rest = held
+            low = held & -held
+            rest = held ^ low
+            sums = [prices[low.bit_length() - 1], 0]
+            subs = [low, 0]
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -304,7 +314,8 @@ def measure_rationality(
     every bidder's holding and each of its subsets with positive posted
     price (a zero value there means unbounded exposure), skipping a
     holding that, with the prices of its items, is unchanged since the
-    previous round. Holdings larger than subset_cap items are checked at
+    previous round (exact for records in which no item has two holders).
+    Holdings larger than subset_cap items are checked at
     the full set and singletons only; under TABLE_LIMIT = 20 the default
     cap of 20 never triggers.
     """

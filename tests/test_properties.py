@@ -42,6 +42,7 @@ from smra import (
     run_round,
     truthful_bid,
 )
+from smra.mechanism import AuctionOutcome, RoundRecord
 
 
 @st.composite
@@ -428,3 +429,44 @@ def test_rationality_scan_equals_the_reference(instance):
     reference = reference_measure_rationality(outcome, valuations, subset_cap)
     assert measure_rationality(outcome, valuations, subset_cap) == reference
     assert scan.report() == reference
+
+
+@st.composite
+def recorded_rounds(draw):
+    """Records no engine need produce: each round, every item goes to one
+    bidder or none and takes any price, and a round may keep the previous
+    owners while moving prices."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    valuations = tuple(
+        draw(monotone_tables(min_m=m, max_m=m)) for _ in range(n)
+    )
+    owners = st.lists(st.integers(-1, n - 1), min_size=m, max_size=m)
+    records = []
+    owner = draw(owners)
+    for t in range(draw(st.integers(1, 5))):
+        if t and draw(st.booleans()):
+            owner = draw(owners)
+        prices = tuple(draw(st.lists(st.integers(0, 4), min_size=m,
+                                     max_size=m)))
+        provisional = tuple(
+            sum(1 << j for j in range(m) if owner[j] == i) for i in range(n)
+        )
+        records.append(RoundRecord(t=t, prices_before=prices, bids=(0,) * n,
+                                   excess=0, draws=(), prices_after=prices,
+                                   provisional=provisional))
+    outcome = AuctionOutcome(allocation=records[-1].provisional,
+                             prices=records[-1].prices_after,
+                             rounds=len(records), records=tuple(records))
+    return outcome, valuations, draw(st.sampled_from([0, 1, 2, 20]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(recorded_rounds())
+def test_measure_rationality_equals_the_reference_on_any_disjoint_records(
+    instance,
+):
+    outcome, valuations, subset_cap = instance
+    assert measure_rationality(outcome, valuations, subset_cap) == (
+        reference_measure_rationality(outcome, valuations, subset_cap)
+    )
