@@ -315,9 +315,9 @@ def measure_rationality(
     price (a zero value there means unbounded exposure), skipping a
     holding that, with the prices of its items, is unchanged since the
     previous round (exact for records in which no item has two holders).
-    Holdings larger than subset_cap items are checked at
-    the full set and singletons only; under TABLE_LIMIT = 20 the default
-    cap of 20 never triggers.
+    Holdings larger than subset_cap items are checked at the full set and
+    singletons only; under TABLE_LIMIT = 20 the default cap of 20 never
+    triggers.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")
