@@ -342,6 +342,10 @@ MALFORMED_LINES = [
     json.dumps({**GOOD_LINE, "excess": [0, 2]}),  # item outside the universe
     json.dumps({**GOOD_LINE, "prices_before": 0}),
     json.dumps({**GOOD_LINE, "bids": [[0, True], [1]]}),  # a bool as an item
+    json.dumps({"t": 0, "prices_before": [], "bids": [[]], "excess": [],
+                "draws": [], "prices_after": [], "provisional": [[]]}),  # m = 0
+    json.dumps({**GOOD_LINE, "bids": [], "excess": [], "draws": [],  # n = 0
+                "prices_after": [0, 0], "provisional": []}),
 ]
 
 
@@ -365,4 +369,10 @@ MALFORMED_SCENARIOS = [
         {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": 5}}]},
     {"name": "x", "m": 2, "bidders": [  # a JSON bool as an item
         {**_GOOD_BIDDER, "strategy": {"kind": "scripted", "script": [[True]]}}]},
+    {"name": "x", "m": 2, "bidders": [  # a float universe size
+        {**_GOOD_BIDDER, "valuation": {"form": "symmetric_step", "m": 2.0,
+                                       "alpha_num": 1}}]},
+    {"name": "x", "m": 1, "bidders": [  # JSON bools as integer fields
+        {**_GOOD_BIDDER, "valuation": {"form": "symmetric_step", "m": True,
+                                       "alpha_num": True}}]},
 ]

@@ -228,6 +228,12 @@ def test_analyze_rejects_bad_valuations(capsys):
         capsys, "analyze", "--json", '{"form": "additive", "weights": 5}'
     )
     assert code == 2
+    # a universe size that is not an integer
+    code, _, _ = run_cli(
+        capsys, "analyze", "--json",
+        '{"form": "pair_bonus", "m": 2.5, "unit": 1, "pair": 3}',
+    )
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -433,39 +433,57 @@ def test_rationality_scan_equals_the_reference(instance):
 
 @st.composite
 def recorded_rounds(draw):
-    """Records no engine need produce: each round, every item goes to one
-    bidder or none and takes any price, and a round may keep the previous
-    owners while moving prices."""
+    """Records no engine need produce: each round, every bidder keeps its
+    holding or takes any mask, so holdings may overlap, and every item
+    takes any price."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3))
     valuations = tuple(
         draw(monotone_tables(min_m=m, max_m=m)) for _ in range(n)
     )
-    owners = st.lists(st.integers(-1, n - 1), min_size=m, max_size=m)
+    masks = st.integers(0, (1 << m) - 1)
     records = []
-    owner = draw(owners)
+    provisional = (0,) * n
     for t in range(draw(st.integers(1, 5))):
-        if t and draw(st.booleans()):
-            owner = draw(owners)
+        provisional = tuple(
+            held if t and draw(st.booleans()) else draw(masks)
+            for held in provisional
+        )
         prices = tuple(draw(st.lists(st.integers(0, 4), min_size=m,
                                      max_size=m)))
-        provisional = tuple(
-            sum(1 << j for j in range(m) if owner[j] == i) for i in range(n)
-        )
-        records.append(RoundRecord(t=t, prices_before=prices, bids=(0,) * n,
-                                   excess=0, draws=(), prices_after=prices,
-                                   provisional=provisional))
-    outcome = AuctionOutcome(allocation=records[-1].provisional,
-                             prices=records[-1].prices_after,
-                             rounds=len(records), records=tuple(records))
-    return outcome, valuations, draw(st.sampled_from([0, 1, 2, 20]))
+        records.append(_record(t, prices, provisional))
+    return _outcome(records), valuations, draw(st.sampled_from([0, 1, 2, 20]))
+
+
+def _record(t, prices, provisional):
+    return RoundRecord(t=t, prices_before=prices, bids=(0,) * len(provisional),
+                       excess=0, draws=(), prices_after=prices,
+                       provisional=provisional)
+
+
+def _outcome(records):
+    return AuctionOutcome(allocation=records[-1].provisional,
+                          prices=records[-1].prices_after,
+                          rounds=len(records), records=tuple(records))
+
+
+# Bidder 1 keeps item 2 while its price moves from 0 to 1; bidder 0 takes
+# items {0, 1, 2} at the same time, so item 2 has two holders. Item 2 is
+# worthless to bidder 1, so its full holding carries +inf.
+_OVERLAP = (
+    _outcome([_record(0, (0, 0, 0), (0, 0, 0)),
+              _record(1, (0, 0, 0), (0, 0b100, 0)),
+              _record(2, (0, 0, 1), (0b111, 0b100, 0))]),
+    (TableValuation((0, 0, 0, 0, 0, 0, 0, 1)),
+     TableValuation((0,) * 8), TableValuation((0,) * 8)),
+    20,
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(recorded_rounds())
-def test_measure_rationality_equals_the_reference_on_any_disjoint_records(
-    instance,
-):
+@example(_OVERLAP)
+def test_measure_rationality_equals_the_reference_on_any_records(instance):
     outcome, valuations, subset_cap = instance
     assert measure_rationality(outcome, valuations, subset_cap) == (
         reference_measure_rationality(outcome, valuations, subset_cap)
