@@ -446,6 +446,11 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
             raise TraceMismatch(
                 f"trace line {line_no}: malformed record ({exc!r})"
             ) from None
+        if not (record.prices_before and record.bids):
+            raise TraceMismatch(
+                f"trace line {line_no}: a round needs at least one item "
+                "and one bidder"
+            )
         records.append(record)
     return records
 

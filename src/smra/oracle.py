@@ -11,22 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import inf
-from operator import and_, ne
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
-from .valuations import TABLE_LIMIT, Valuation
+from .valuations import Valuation
 
 # The assignment DP touches n * 3**m (bidder, bundle-in-context) pairs.
 OPS_LIMIT = 50_000_000
-
-# One bit per item; a holding's items lie below TABLE_LIMIT, since no
-# valuation has a value table beyond it.
-_ITEM_BITS = tuple(1 << j for j in range(TABLE_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -206,24 +201,19 @@ class RationalityScan:
     subset_cap items offer only the full set and singletons; under
     TABLE_LIMIT = 20 the default cap of 20 never triggers.
 
-    A holding's subset prices come from one DP over its items. A bidder
-    whose holding, and the prices of its items, equal those at the
-    previous update is skipped: its subsets offer only ratios already
-    seen, and those never replace the max. This is exact as long as no
-    item is held by two bidders at once, as in every auction round.
-    Witnesses stay (round, bidder, mask) until report() decodes them.
+    Every update prices every nonempty holding, each through one DP over
+    its items, so any records are measured exactly, overlapping holdings
+    included. Witnesses stay (round, bidder, mask) until report() decodes
+    them.
     """
 
-    __slots__ = ("_valuations", "_tables", "_subset_cap", "_last", "_prices",
-                 "_num", "_den", "_witness", "_full_num", "_full_den",
-                 "_full_witness")
+    __slots__ = ("_valuations", "_tables", "_subset_cap", "_num", "_den",
+                 "_witness", "_full_num", "_full_den", "_full_witness")
 
     def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20):
         self._valuations = valuations
         self._tables = [None] * len(valuations)  # fetched on first holding
         self._subset_cap = subset_cap
-        self._last = (0,) * len(valuations)
-        self._prices = ()
         self._num, self._den, self._witness = 0, 1, None
         self._full_num, self._full_den, self._full_witness = 0, 1, None
 
@@ -231,30 +221,12 @@ class RationalityScan:
         self, t: int, prices_after: Sequence[int], provisional: Sequence[int]
     ) -> None:
         """Examine one round's post-state (prices and holdings)."""
-        holdings = tuple(provisional)
-        last = self._last
-        self._last = holdings
-        prices = tuple(prices_after)
-        moved = sum(compress(_ITEM_BITS, map(ne, prices, self._prices)))
-        self._prices = prices
         tables = self._tables
-        changed = 0  # the items of every holding that changed
-        for i in compress(range(len(holdings)), map(ne, holdings, last)):
-            held = holdings[i]
-            changed |= held
-            if held:
-                table = tables[i]
-                if table is None:
-                    table = tables[i] = self._valuations[i].value_table()
-                self._examine(t, i, held, table, prices)
-        # a moved price outside the changed holdings can only be on an
-        # unchanged holding or on no holding at all
-        stale = moved & ~changed
-        if stale:
-            kept = map(and_, holdings, repeat(stale))
-            for i in compress(range(len(holdings)), kept):
-                if holdings[i] == last[i]:
-                    self._examine(t, i, holdings[i], tables[i], prices)
+        for i in compress(range(len(provisional)), provisional):
+            table = tables[i]
+            if table is None:
+                table = tables[i] = self._valuations[i].value_table()
+            self._examine(t, i, provisional[i], table, prices_after)
 
     def _examine(
         self, t: int, i: int, held: int, table: Sequence[int],
@@ -312,12 +284,9 @@ def measure_rationality(
 
     Feeds the recorded rounds to a RationalityScan: after every round,
     every bidder's holding and each of its subsets with positive posted
-    price (a zero value there means unbounded exposure), skipping a
-    holding that, with the prices of its items, is unchanged since the
-    previous round (exact for records in which no item has two holders).
-    Holdings larger than subset_cap items are checked at the full set and
-    singletons only; under TABLE_LIMIT = 20 the default cap of 20 never
-    triggers.
+    price (a zero value there means unbounded exposure). Holdings larger
+    than subset_cap items are checked at the full set and singletons
+    only; under TABLE_LIMIT = 20 the default cap of 20 never triggers.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")

@@ -85,6 +85,15 @@ class Valuation(ABC):
         """JSON-ready description; inverse of valuation_from_spec."""
 
 
+def _require_int_fields(valuation, *names: str) -> None:
+    """Raise TypeError on a named field that is not an int (a bool included,
+    so JSON true/false never pass as 1 and 0)."""
+    for name in names:
+        x = getattr(valuation, name)
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"{valuation.form} {name} must be an integer, got {x!r}")
+
+
 def _require_nonneg_ints(values, what: str) -> tuple[int, ...]:
     out = []
     for x in values:
@@ -208,10 +217,9 @@ class SymmetricStepValuation(Valuation):
     form = "symmetric_step"
 
     def __post_init__(self):
+        _require_int_fields(self, "m", "num", "den")
         if self.m < 1:
             raise ValueError("need at least one item")
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
-            raise NotMonotone("step parameters must be integers")
         if self.num < 0 or self.den < 1:
             raise NotMonotone("need num >= 0 and den >= 1")
 
@@ -250,6 +258,7 @@ class PairBonusValuation(Valuation):
     form = "pair_bonus"
 
     def __post_init__(self):
+        _require_int_fields(self, "m")
         if self.m < 2:
             raise ValueError("pair_bonus needs at least two items")
         _require_nonneg_ints((self.unit, self.pair), "pair_bonus values")
@@ -294,6 +303,7 @@ class TargetPairValuation(Valuation):
     form = "type2_pair"
 
     def __post_init__(self):
+        _require_int_fields(self, "m", "target", "special")
         if self.m < 2:
             raise ValueError("type2_pair needs at least two items")
         for idx in (self.target, self.special):

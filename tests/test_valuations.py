@@ -158,6 +158,14 @@ def test_family_parameter_validation():
         TargetPairValuation(2, 0, 5, 1, 3, 1)
     with pytest.raises(NotMonotone):
         TargetPairValuation(2, 0, 1, 5, 3, 1)  # pair worth less than target
+    for bad in (lambda: SymmetricStepValuation(2.0, 1),
+                lambda: SymmetricStepValuation(True, True),
+                lambda: SymmetricStepValuation(2, 1, 1.0),
+                lambda: PairBonusValuation(2.5, 1, 3),
+                lambda: TargetPairValuation(3, 0.0, 2, 1, 5, 2),
+                lambda: TargetPairValuation(3, 0, True, 1, 5, 2)):
+        with pytest.raises(TypeError):  # non-int fields, as in mask_of
+            bad()
 
 
 # ---------------------------------------------------------------------------
