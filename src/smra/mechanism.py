@@ -28,7 +28,7 @@ from typing import Callable, IO, Optional, Sequence
 from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
 from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
-from .valuations import Valuation
+from .valuations import Valuation, common_universe
 
 # Bids one valuation remembers per rule (see decision_memo) and plans one
 # run_auction call keeps; a full cache is emptied, so memory stays bounded.
@@ -213,6 +213,34 @@ def decision_memo(valuation: Valuation, strategy: Strategy) -> dict | None:
     return memos.setdefault(strategy, {})
 
 
+class PreparedBidders:
+    """run_auction's setup of one bidder list, built once and shared by its
+    auctions in one process. classes[i] numbers bidder i's class: same
+    valuation object and decision memo, else same rule object. Per bidder:
+    value table, memo (the dict on the valuation), the last-bid bits a memo
+    key keeps, and propose; max_rounds is the default round budget. Raises
+    as common_universe and value_table do."""
+
+    def __init__(self, valuations: Sequence[Valuation],
+                 strategies: Sequence[Strategy]):
+        n, m = len(valuations), common_universe(valuations)
+        if len(strategies) != n:
+            raise ValueError(f"{n} valuations but {len(strategies)} strategies")
+        self.valuations, self.strategies, self.n, self.m = (
+            valuations, strategies, n, m)
+        self.memos = [decision_memo(*vs) for vs in zip(valuations, strategies)]
+        keys: dict = {}
+        self.classes = [
+            keys.setdefault((id(v), id(s if memo is None else memo)), len(keys))
+            for v, s, memo in zip(valuations, strategies, self.memos)
+        ]
+        self.value_tables = [v.value_table() for v in valuations]
+        self.last_bid_bits = [
+            -1 if s.depends_on == "last_bid" else 0 for s in strategies]
+        self.proposers = [s.propose for s in strategies]
+        self.max_rounds = default_max_rounds(valuations)
+
+
 def run_auction(
     valuations: Sequence[Valuation],
     strategies: Sequence[Strategy],
@@ -221,11 +249,14 @@ def run_auction(
     max_rounds: int | None = None,
     record_trace: bool = True,
     observer: Callable[[int, tuple[int, ...], list[int]], None] | None = None,
+    prepared: PreparedBidders | None = None,
 ) -> AuctionOutcome:
     """Run a full auction to termination.
 
-    Each round every strategy sees a BidContext (current prices, own
-    holdings, full histories) and proposes a bid mask. A memoised rule
+    Bidder setup is `prepared` if built from these very valuations and
+    strategies (run_trials builds one per chunk), else a new one. Each
+    round every strategy sees a BidContext (current prices, own holdings,
+    full histories) and proposes a bid mask. A memoised rule
     (see decision_memo) that has met its key before gets its remembered
     bid instead, without a propose call. A bidder's context is built on
     its first propose and refreshed on each later one; the price table is
@@ -243,27 +274,19 @@ def run_auction(
     list is live and must not be mutated. run_trials measures λ this way,
     with oracle.RationalityScan.update as the observer.
 
-    Raises InvalidBid for a bid outside the universe or overlapping the
-    bidder's own holdings, OracleTooLarge before round 0 if the universe
-    is too large for the bundle tables (see valuations.TABLE_LIMIT), and
-    Divergence (carrying the partial outcome) if a round at or past
-    max_rounds still demands something.
+    Raises as PreparedBidders does, ValueError for a max_rounds that is not
+    an int >= 0, InvalidBid for a bid outside the universe or overlapping
+    the bidder's own holdings, and Divergence (carrying the partial
+    outcome) if a round at or past max_rounds still demands something.
     """
-    n = len(valuations)
-    if n == 0:
-        raise ValueError("need at least one bidder")
-    if len(strategies) != n:
-        raise ValueError(f"{n} valuations but {len(strategies)} strategies")
-    m = valuations[0].universe_size
-    for v in valuations[1:]:
-        if v.universe_size != m:
-            raise UniverseMismatch(
-                f"valuations disagree on universe size: {m} vs {v.universe_size}"
-            )
+    if (prepared is None or prepared.valuations is not valuations
+            or prepared.strategies is not strategies):
+        prepared = PreparedBidders(valuations, strategies)
     if max_rounds is None:
-        max_rounds = default_max_rounds(valuations)
-
-    value_tables = [v.value_table() for v in valuations]
+        max_rounds = prepared.max_rounds
+    elif type(max_rounds) is not int or max_rounds < 0:
+        raise ValueError(f"max_rounds must be an int >= 0, got {max_rounds!r}")
+    n, m = prepared.n, prepared.m
     popcounts = popcount_table(m)
 
     prices = [0] * m
@@ -273,13 +296,9 @@ def run_auction(
     own_set_histories: list[list[int]] = [[0] for _ in range(n)]
     own_bid_histories: list[list[int]] = [[] for _ in range(n)]
     contexts: list[BidContext | None] = [None] * n
-    proposers = [s.propose for s in strategies]
-    memos = [decision_memo(v, s) for v, s in zip(valuations, strategies)]
-    # Bits of last round's bid that a memo key keeps: all of them for rules
-    # that depend on the last bid, none for the others.
-    last_bid_bits = [
-        -1 if s.depends_on == "last_bid" else 0 for s in strategies
-    ]
+    proposers = prepared.proposers
+    memos = prepared.memos
+    last_bid_bits = prepared.last_bid_bits
     plans: dict = {}
     choose = random.Random(seed).choice
     records: list[RoundRecord] | None = [] if record_trace else None
@@ -310,7 +329,7 @@ def run_auction(
                     prices=current_prices, price_history=price_history,
                     own_set=own, own_set_history=own_set_histories[i],
                     own_bid_history=own_bid_histories[i], m=m,
-                    value_table=value_tables[i], price_sums=price_sums,
+                    value_table=prepared.value_tables[i], price_sums=price_sums,
                     popcounts=popcounts,
                 )
             else:

@@ -15,10 +15,10 @@ from itertools import compress
 from math import inf
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch
+from .errors import InvalidAllocation, OracleTooLarge
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
-from .valuations import Valuation
+from .valuations import Valuation, common_universe
 
 # The assignment DP touches n * 3**m (bidder, bundle-in-context) pairs.
 OPS_LIMIT = 50_000_000
@@ -51,15 +51,7 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     raising any split. The budget n * 3**m is checked before the DP and
     is still an upper bound on its work; raises OracleTooLarge beyond it.
     """
-    n = len(valuations)
-    if n == 0:
-        raise ValueError("need at least one bidder")
-    m = valuations[0].universe_size
-    for v in valuations[1:]:
-        if v.universe_size != m:
-            raise UniverseMismatch(
-                f"valuations disagree on universe size: {m} vs {v.universe_size}"
-            )
+    n, m = len(valuations), common_universe(valuations)
     if n * 3**m > OPS_LIMIT:
         raise OracleTooLarge(
             f"assignment DP needs {n} * 3**{m} bundle evaluations; "
@@ -107,7 +99,7 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
 
 
 def welfare(allocation: Sequence[int], valuations: Sequence[Valuation]) -> int:
-    """Total value of a disjoint assignment (items may be unassigned)."""
+    """Total value of a disjoint assignment, summed over held bundles."""
     if len(allocation) != len(valuations):
         raise InvalidAllocation(
             f"{len(allocation)} bundles for {len(valuations)} bidders"
@@ -115,12 +107,13 @@ def welfare(allocation: Sequence[int], valuations: Sequence[Valuation]) -> int:
     seen = 0
     total = 0
     for mask, v in zip(allocation, valuations):
-        if mask & seen:
-            raise InvalidAllocation(
-                f"item(s) {list(items_of(mask & seen))} assigned twice"
-            )
-        seen |= mask
-        total += v.value(mask)
+        if mask:
+            if mask & seen:
+                raise InvalidAllocation(
+                    f"item(s) {list(items_of(mask & seen))} assigned twice"
+                )
+            seen |= mask
+            total += v.value(mask)
     return total
 
 
@@ -204,15 +197,15 @@ class RationalityScan:
     Every update prices every nonempty holding, each through one DP over
     its items, so any records are measured exactly, overlapping holdings
     included. Witnesses stay (round, bidder, mask) until report() decodes
-    them.
+    them. Value tables are `tables` if given, else the valuations' own.
     """
 
-    __slots__ = ("_valuations", "_tables", "_subset_cap", "_num", "_den",
-                 "_witness", "_full_num", "_full_den", "_full_witness")
+    __slots__ = ("_tables", "_subset_cap", "_num", "_den", "_witness",
+                 "_full_num", "_full_den", "_full_witness")
 
-    def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20):
-        self._valuations = valuations
-        self._tables = [None] * len(valuations)  # fetched on first holding
+    def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20,
+                 tables: Optional[Sequence[Sequence[int]]] = None):
+        self._tables = tables or [v.value_table() for v in valuations]
         self._subset_cap = subset_cap
         self._num, self._den, self._witness = 0, 1, None
         self._full_num, self._full_den, self._full_witness = 0, 1, None
@@ -223,10 +216,7 @@ class RationalityScan:
         """Examine one round's post-state (prices and holdings)."""
         tables = self._tables
         for i in compress(range(len(provisional)), provisional):
-            table = tables[i]
-            if table is None:
-                table = tables[i] = self._valuations[i].value_table()
-            self._examine(t, i, provisional[i], table, prices_after)
+            self._examine(t, i, provisional[i], tables[i], prices_after)
 
     def _examine(
         self, t: int, i: int, held: int, table: Sequence[int],

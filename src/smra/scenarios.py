@@ -26,7 +26,7 @@ from typing import Callable, IO, Optional, Sequence, Union
 
 from .errors import Divergence, InvalidPartition, UniverseMismatch
 from .itemsets import full_mask, items_of, mask_of, mask_size
-from .mechanism import run_auction, write_trace_jsonl
+from .mechanism import PreparedBidders, run_auction, write_trace_jsonl
 from .oracle import RationalityScan, optimal_welfare, welfare
 from .strategies import (
     LocallyOptimalStrategy,
@@ -45,6 +45,7 @@ from .valuations import (
     TargetPairValuation,
     UnitDemandValuation,
     Valuation,
+    common_universe,
     valuation_from_spec,
 )
 
@@ -74,14 +75,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "bidders", tuple(self.bidders))
         object.__setattr__(self, "events", tuple(self.events))
-        if not self.bidders:
-            raise ValueError("a scenario needs at least one bidder")
-        for i, b in enumerate(self.bidders):
-            if b.valuation.universe_size != self.m:
-                raise UniverseMismatch(
-                    f"bidder {i} has universe size {b.valuation.universe_size}, "
-                    f"scenario has m={self.m}"
-                )
+        m = common_universe(self.valuations)
+        if m != self.m:
+            raise UniverseMismatch(f"bidders have m={m}, scenario has m={self.m}")
 
     @property
     def valuations(self) -> tuple[Valuation, ...]:
@@ -482,22 +478,26 @@ def _run_chunk(
     trials: range,
 ) -> list[TrialRow]:
     """The rows of the given trial indices: the one trial loop behind the
-    serial, pooled and traced runs. λ is measured as the auction streams,
-    by a RationalityScan observing every settled round (the terminal round
+    serial, pooled and traced runs. Bidder setup (PreparedBidders) is done
+    once per chunk, in the process that runs it, and shared by every
+    trial's auction and λ scan. λ is measured as the auction streams, by a
+    RationalityScan observing every settled round (the terminal round
     moves nothing, and a diverged trial's partial trace holds exactly the
     rounds observed). A trace is recorded only for trace_path (single-trial
     runs only), which receives the trial's JSONL trace."""
     valuations = scenario.valuations
     strategies = scenario.strategies
+    prepared = PreparedBidders(valuations, strategies)
     rows = []
     for trial in trials:
         seed = derive_seed(master_seed, trial)
-        scan = RationalityScan(valuations, subset_cap) if collect_lambda else None
+        scan = (RationalityScan(valuations, subset_cap, prepared.value_tables)
+                if collect_lambda else None)
         try:
             outcome = run_auction(
                 valuations, strategies, seed,
                 max_rounds=max_rounds, record_trace=trace_path is not None,
-                observer=scan.update if scan else None,
+                observer=scan.update if scan else None, prepared=prepared,
             )
         except Divergence as exc:
             outcome = exc.outcome

@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import GenerationFailed, NotMonotone, OracleTooLarge, UniverseMismatch
 from .itemsets import full_mask, items_of
@@ -83,6 +83,17 @@ class Valuation(ABC):
     @abstractmethod
     def spec_dict(self) -> dict:
         """JSON-ready description; inverse of valuation_from_spec."""
+
+
+def common_universe(valuations: Sequence[Valuation]) -> int:
+    """The universe size m of a bidder list. Raises ValueError when it is
+    empty and UniverseMismatch when two valuations disagree on m."""
+    if not valuations:
+        raise ValueError("need at least one bidder")
+    sizes = {v.universe_size for v in valuations}
+    if len(sizes) > 1:
+        raise UniverseMismatch(f"valuations disagree on universe size: {sorted(sizes)}")
+    return sizes.pop()
 
 
 def _require_int_fields(valuation, *names: str) -> None:

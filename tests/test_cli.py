@@ -292,6 +292,15 @@ def test_trace_requires_a_single_trial(capsys, tmp_path):
     assert code == 2
 
 
+def test_negative_round_budget_is_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--builtin", "bad_pair", "--trials", "3",
+        "--max-rounds", "-5",
+    )
+    assert code == 2
+    assert out == "" and "max_rounds" in err
+
+
 def test_missing_scenario_file(capsys):
     code, _, _ = run_cli(capsys, "run", "--scenario", "/nonexistent.json")
     assert code == 2

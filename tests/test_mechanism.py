@@ -15,6 +15,7 @@ from smra import (
     Divergence,
     InsecureProvisionalState,
     InvalidBid,
+    LocallyOptimalStrategy,
     OracleTooLarge,
     PairBonusValuation,
     SecureProfitMaxStrategy,
@@ -35,8 +36,8 @@ from smra import (
 )
 from smra import mechanism, strategies
 from smra.itemsets import mask_of, popcount_table
-from smra.mechanism import decision_memo, default_max_rounds
-from smra.scenarios import build_bad_pair
+from smra.mechanism import PreparedBidders, decision_memo, default_max_rounds
+from smra.scenarios import build_bad_pair, build_truthful_tight
 
 
 def _bad_pair_outcome(seed, M=10, record=True):
@@ -277,6 +278,19 @@ def test_run_auction_rejects_bad_configurations():
     assert calls == []
 
 
+def test_round_budgets_must_be_non_negative_integers():
+    sc = build_bad_pair(10)
+    for bad in (-1, -5, True, False, 2.5, "7"):
+        with pytest.raises(ValueError):
+            run_auction(sc.valuations, sc.strategies, max_rounds=bad)
+        with pytest.raises(ValueError):
+            run_trials(sc, 3, max_rounds=bad, collect_lambda=False)
+    # zero is a budget: round 0 still demands something, so it diverges
+    with pytest.raises(Divergence) as exc_info:
+        run_auction(sc.valuations, sc.strategies, max_rounds=0)
+    assert exc_info.value.outcome.rounds == 0
+
+
 def test_run_auction_polices_strategy_output():
     own_rebidder = CallableStrategy(lambda ctx: ctx.own_set or 0b1)
     with pytest.raises(InvalidBid):
@@ -456,6 +470,57 @@ def test_memo_never_exceeds_its_cap(monkeypatch):
     assert 0 < max(sizes) <= 3
     uncached = tuple(CallableStrategy(s.propose) for s in sc.strategies)
     assert run_auction(sc.valuations, uncached, seed=2) == outcome
+
+
+def test_prepared_bidders_group_classes_and_share_the_memos():
+    sc = build_truthful_tight(4, 3, 6)
+    prepared = PreparedBidders(sc.valuations, sc.strategies)
+    assert (prepared.n, prepared.m) == (6, 4)
+    assert prepared.classes == [0] * 6  # one valuation object, equal rules
+    memo = decision_memo(sc.valuations[0], sc.strategies[0])
+    assert all(m is memo for m in prepared.memos)
+    assert prepared.value_tables == [sc.valuations[0].value_table()] * 6
+    assert prepared.last_bid_bits == [0] * 6
+    assert prepared.max_rounds == default_max_rounds(sc.valuations)
+
+    v, w = AdditiveValuation((1, 2)), AdditiveValuation((1, 2))
+    rule = CallableStrategy(lambda ctx: 0)
+    equal_rule = CallableStrategy(rule.fn)
+    local = LocallyOptimalStrategy("previous")
+    prepared = PreparedBidders(
+        (v, v, v, w, v, v),
+        (rule, rule, equal_rule, TruthfulStrategy(), local, local),
+    )
+    # an unmemoised rule groups by object, a memoised one by its memo
+    assert prepared.classes == [0, 0, 1, 2, 3, 3]
+    assert prepared.memos[:3] == [None] * 3
+    assert prepared.last_bid_bits == [0, 0, 0, 0, -1, -1]
+
+
+def test_a_prepared_object_of_other_bidders_is_not_used():
+    sc, other = build_bad_pair(10), build_bad_pair(40)
+    stale = PreparedBidders(other.valuations, other.strategies)
+    for seed in range(5):
+        assert run_auction(
+            sc.valuations, sc.strategies, seed, prepared=stale
+        ) == run_auction(sc.valuations, sc.strategies, seed)
+
+
+def test_bidder_setup_happens_once_per_chunk(monkeypatch):
+    calls = {"decision_memo": 0, "default_max_rounds": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(mechanism, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(mechanism, name, counted)
+    counts = []
+    for trials in (5, 50):
+        calls.update(dict.fromkeys(calls, 0))
+        run_trials(build_truthful_tight(4, 3, 60), trials, seed=31, jobs=1)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["default_max_rounds"] == 1
+    assert 1 <= counts[0]["decision_memo"] <= 60
 
 
 def test_memo_stays_out_of_the_pickled_scenario():

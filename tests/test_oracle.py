@@ -107,6 +107,19 @@ def test_welfare_of_assignments():
         welfare((0b01,), vals)
 
 
+def test_welfare_checks_held_bundles_among_empty_ones():
+    # only the held bundles are priced, and they are still checked
+    vals = build_truthful_tight(4, 3, 6).valuations
+    assert welfare((0,) * 6, vals) == 0
+    assert welfare((0, 0b0011, 0, 0, 0b1100, 0), vals) == 2 * vals[0].value(0b0011)
+    with pytest.raises(InvalidAllocation):
+        welfare((0,) * 5, vals)  # bundle count mismatch
+    with pytest.raises(InvalidAllocation):
+        welfare((0, 0b0100, 0, 0, 0b0110, 0), vals)  # item 2 twice
+    with pytest.raises(UniverseMismatch):
+        welfare((0, 0, 0b10000, 0, 0, 0), vals)  # item 4 outside m = 4
+
+
 def test_welfare_ratio_forms():
     assert welfare_ratio(2, 10) == Fraction(1, 5)
     assert welfare_ratio(7, 7) == Fraction(1)

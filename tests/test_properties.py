@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
@@ -42,7 +43,9 @@ from smra import (
     run_round,
     truthful_bid,
 )
-from smra.mechanism import AuctionOutcome, RoundRecord
+from smra import mechanism
+from smra.mechanism import AuctionOutcome, PreparedBidders, RoundRecord
+from smra.scenarios import build_bad_pair, build_local_tight, build_truthful_tight
 
 
 @st.composite
@@ -488,3 +491,55 @@ def test_measure_rationality_equals_the_reference_on_any_records(instance):
     assert measure_rationality(outcome, valuations, subset_cap) == (
         reference_measure_rationality(outcome, valuations, subset_cap)
     )
+
+
+# ---------------------------------------------------------------------------
+# Bidder setup: one shared PreparedBidders runs every auction as a fresh call
+
+
+def _random_mixed_bidders():
+    rng = random.Random(41)
+    shared, own, third = (
+        random_near_submodular(3, 2, 12, rng.randrange(2**32)) for _ in range(3)
+    )
+    valuations = (shared, shared, shared, own, third)
+    strategies = (LocallyOptimalStrategy("previous"),) * 3 + (
+        LocallyOptimalStrategy("empty"), SecureProfitMaxStrategy())
+    return valuations, strategies
+
+
+def _scenario_bidders(build):
+    return lambda: (build().valuations, build().strategies)
+
+
+SETUP_CASES = {
+    "truthful_tight": _scenario_bidders(lambda: build_truthful_tight(4, 3, 6)),
+    "bad_pair": _scenario_bidders(lambda: build_bad_pair(10)),
+    "local_tight": _scenario_bidders(lambda: build_local_tight(L=2)),
+    "mixed": _random_mixed_bidders,
+}
+
+
+def _auction_result(valuations, strategies, seed, **options):
+    try:
+        return run_auction(valuations, strategies, seed, max_rounds=60, **options)
+    except Divergence as exc:
+        return "diverged", exc.outcome
+    except InsecureProvisionalState as exc:
+        return "insecure", exc.bidder, exc.witness_mask
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, cap):
+    if cap is not None:
+        monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
+    valuations, strategies = SETUP_CASES[case]()
+    prepared = PreparedBidders(valuations, strategies)
+    for seed in range(10):
+        # fresh objects: a new setup and empty decision memos every time
+        fresh = _auction_result(*SETUP_CASES[case](), seed)
+        assert _auction_result(
+            valuations, strategies, seed, prepared=prepared) == fresh
+        if cap is not None:
+            assert all(len(memo) <= cap for memo in prepared.memos if memo)
