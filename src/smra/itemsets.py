@@ -21,7 +21,7 @@ def full_mask(m: int) -> int:
 
 def mask_size(mask: int) -> int:
     """Number of items in the set (popcount)."""
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def iter_items(mask: int) -> Iterator[int]:

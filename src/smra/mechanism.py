@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, IO, Optional, Sequence
 
 from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
@@ -215,11 +216,12 @@ def decision_memo(valuation: Valuation, strategy: Strategy) -> dict | None:
 
 class PreparedBidders:
     """run_auction's setup of one bidder list, built once and shared by its
-    auctions in one process. classes[i] numbers bidder i's class: same
-    valuation object and decision memo, else same rule object. Per bidder:
-    value table, memo (the dict on the valuation), the last-bid bits a memo
-    key keeps, and propose; max_rounds is the default round budget. Raises
-    as common_universe and value_table do."""
+    auctions in one process. classes[i], computed on first read, numbers
+    bidder i's class: same valuation object and decision memo, else same
+    rule object. Per bidder: value table, memo (the dict on the
+    valuation), the last-bid bits a memo key keeps, and propose;
+    max_rounds is the default round budget. Raises as common_universe and
+    value_table do."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -229,16 +231,19 @@ class PreparedBidders:
         self.valuations, self.strategies, self.n, self.m = (
             valuations, strategies, n, m)
         self.memos = [decision_memo(*vs) for vs in zip(valuations, strategies)]
-        keys: dict = {}
-        self.classes = [
-            keys.setdefault((id(v), id(s if memo is None else memo)), len(keys))
-            for v, s, memo in zip(valuations, strategies, self.memos)
-        ]
         self.value_tables = [v.value_table() for v in valuations]
         self.last_bid_bits = [
             -1 if s.depends_on == "last_bid" else 0 for s in strategies]
         self.proposers = [s.propose for s in strategies]
         self.max_rounds = default_max_rounds(valuations)
+
+    @cached_property
+    def classes(self) -> list[int]:
+        keys: dict = {}
+        return [
+            keys.setdefault((id(v), id(s if memo is None else memo)), len(keys))
+            for v, s, memo in zip(self.valuations, self.strategies, self.memos)
+        ]
 
 
 def run_auction(

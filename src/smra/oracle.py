@@ -36,20 +36,25 @@ class OptimalAllocation:
 def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     """Exact optimal welfare over all disjoint assignments.
 
-    DP over (first i bidders, item subset): each bidder takes the bundle
-    maximizing her value plus the best split of the rest among earlier
-    bidders; a bundle replaces the earlier split only if strictly better,
-    so ties go to earlier bidders.
+    DP over (first i bidders, item subset). The forward pass keeps only
+    the row of best splits, and each bidder's layer max-plus merges her
+    table into it. Until some layer gains, the row is all zero, so the
+    merge is the subset-max closure max(0, table[s] for nonempty s inside
+    the mask): m sweeps of the row instead of a 3**m submask scan, exact
+    for any table. Every later layer scans each mask's submasks.
 
-    A layer that raises no subset's best split leaves every choice at the
-    empty bundle. Such a table stays idle for the rest of the DP: each
-    layer max-plus merges a bidder's table into the row of best splits,
-    and merging is commutative and associative, so a table that adds
-    nothing to the row now adds nothing to any later row either. Later
-    bidders with an equal value table skip their layer, so copies of one
-    valuation cost at most one idle layer once further copies stop
-    raising any split. The budget n * 3**m is checked before the DP and
-    is still an upper bound on its work; raises OracleTooLarge beyond it.
+    A layer that raises no subset's best split is idle, and so is every
+    later layer with an equal value table: merging is commutative and
+    associative, so a table that adds nothing to the row now adds nothing
+    to any later row either. Copies of one valuation thus cost at most one
+    idle layer once further copies stop raising any split.
+
+    Each gaining layer keeps its table and the row before it. From the
+    last bidder down, the backtrack rescans that layer's submasks of the
+    items still free in descending order; a bundle replaces the earlier
+    bidders' split only if strictly better, so ties go to earlier bidders.
+    The budget n * 3**m is checked before the DP and is still an upper
+    bound on its work; raises OracleTooLarge beyond it.
     """
     n, m = len(valuations), common_universe(valuations)
     if n * 3**m > OPS_LIMIT:
@@ -59,42 +64,59 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
         )
 
     size = 1 << m
-    best = [0] * size
-    choices: list[list[int]] = []
-    no_pick = [0] * size  # the choice row of every idle layer, shared
+    zero = best = [0] * size
+    layers: list[Optional[tuple[tuple[int, ...], list[int]]]] = []
     idle: set[tuple[int, ...]] = set()  # tables whose layer left best as is
     for v in valuations:
         table = v.value_table()
         if table in idle:
-            choices.append(no_pick)
+            layers.append(None)
             continue
-        cur = [0] * size
-        choice = [0] * size
-        for mask in range(size):
-            top = best[mask]  # bidder takes nothing
-            pick = 0
-            sub = mask
-            while sub:
-                cand = table[sub] + best[mask ^ sub]
-                if cand > top:
-                    top = cand
-                    pick = sub
-                sub = (sub - 1) & mask
-            cur[mask] = top
-            choice[mask] = pick
-        if cur == best:  # no strict gain anywhere, so choice is all zero
-            idle.add(table)
-            choices.append(no_pick)
+        if best is zero:
+            cur = list(table)
+            cur[0] = 0
+            bit = 1
+            while bit < size:  # each mask holding bit also sees mask ^ bit
+                for lo in range(bit, size, 2 * bit):
+                    for mask in range(lo, lo + bit):
+                        if cur[mask - bit] > cur[mask]:
+                            cur[mask] = cur[mask - bit]
+                bit <<= 1
         else:
+            cur = [0] * size
+            for mask in range(size):
+                top = best[mask]  # bidder takes nothing
+                sub = mask
+                while sub:
+                    cand = table[sub] + best[mask ^ sub]
+                    if cand > top:
+                        top = cand
+                    sub = (sub - 1) & mask
+                cur[mask] = top
+        if cur == best:
+            idle.add(table)
+            layers.append(None)
+        else:
+            layers.append((table, best))
             best = cur
-            choices.append(choice)
 
     assignment = [0] * n
     mask = size - 1
     for i in range(n - 1, -1, -1):
-        sub = choices[i][mask]
-        assignment[i] = sub
-        mask ^= sub
+        if layers[i] is None:
+            continue
+        table, prev = layers[i]
+        top = prev[mask]
+        pick = 0
+        sub = mask
+        while sub:
+            cand = table[sub] + prev[mask ^ sub]
+            if cand > top:
+                top = cand
+                pick = sub
+            sub = (sub - 1) & mask
+        assignment[i] = pick
+        mask ^= pick
     return OptimalAllocation(welfare=best[size - 1], assignment=tuple(assignment))
 
 

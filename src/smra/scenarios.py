@@ -256,7 +256,7 @@ def _cluster_table(m: int, block: int, alpha: int) -> TableValuation:
     0 outside it."""
     values = []
     for mask in range(1 << m):
-        s = bin(mask & block).count("1")
+        s = (mask & block).bit_count()
         values.append(0 if s == 0 else (s - 1) * alpha * alpha + alpha)
     return TableValuation(tuple(values))
 

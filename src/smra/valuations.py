@@ -240,7 +240,7 @@ class SymmetricStepValuation(Valuation):
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
-        s = bin(mask).count("1")
+        s = mask.bit_count()
         if s == 0:
             return 0
         return (s - 1) * self.num + self.den
@@ -282,7 +282,7 @@ class PairBonusValuation(Valuation):
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
-        s = bin(mask).count("1")
+        s = mask.bit_count()
         if s == 0:
             return 0
         if s == 1:
@@ -567,7 +567,7 @@ def random_near_submodular(
                 scale = rng.randint(1, max(1, 2 - shrink))
                 kind = rng.choice(("step", "step", "cap"))
                 for mask in range(1, size):
-                    s = bin(mask & xmask).count("1")
+                    s = (mask & xmask).bit_count()
                     if s == 0:
                         continue
                     if kind == "step":

@@ -46,6 +46,7 @@ from smra import (
 from smra import mechanism
 from smra.mechanism import AuctionOutcome, PreparedBidders, RoundRecord
 from smra.scenarios import build_bad_pair, build_local_tight, build_truthful_tight
+from smra.valuations import Valuation
 
 
 @st.composite
@@ -370,6 +371,49 @@ _COPIED = (0, 2, 0, 3, 2, 2, 4, 5)  # m = 3; a second copy still gains
 @example((TableValuation(_COPIED),) * 3
          + (TableValuation((0, 1, 2, 3, 0, 1, 3, 3)), TableValuation(_COPIED)))
 def test_optimal_welfare_equals_the_plain_dp(valuations):
+    result = optimal_welfare(valuations)
+    assert (result.welfare, result.assignment) == reference_optimal_welfare(
+        valuations
+    )
+
+
+class _RawTable(Valuation):
+    """Any integer table, for the oracle only: not monotone, and the empty
+    bundle may be worth more than zero."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.values).bit_length() - 1
+
+    def value(self, mask: int) -> int:
+        return self.values[mask]
+
+    def spec_dict(self) -> dict:
+        return {"form": "raw", "values": list(self.values)}
+
+
+@st.composite
+def raw_valuations(draw):
+    """Idle all-zero tables first, so the subset-max closure runs late,
+    then draws from a few raw tables, repeats included."""
+    m = draw(st.integers(1, 5))
+    size = 1 << m
+    tables = st.lists(st.integers(0, 6), min_size=size, max_size=size)
+    pool = draw(st.lists(tables.map(_RawTable), min_size=1, max_size=3))
+    zeros = (_RawTable((0,) * size),) * draw(st.integers(0, 3))
+    return zeros + tuple(draw(st.lists(st.sampled_from(pool),
+                                       min_size=1, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_valuations())
+# the first gaining table is worth 2 at {0} and at {1}, 1 at {0, 1}: the
+# descending rescan meets {1} before {0}, so the backtrack must keep {1}
+@example((_RawTable((0, 0, 0, 0)), _RawTable((0, 2, 2, 1))))
+def test_optimal_welfare_equals_the_plain_dp_on_raw_tables(valuations):
     result = optimal_welfare(valuations)
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
         valuations
