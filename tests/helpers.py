@@ -346,6 +346,23 @@ MALFORMED_LINES = [
                 "draws": [], "prices_after": [], "provisional": [[]]}),  # m = 0
     json.dumps({**GOOD_LINE, "bids": [], "excess": [], "draws": [],  # n = 0
                 "prices_after": [0, 0], "provisional": []}),
+    # scalars that are not JSON integers, or are JSON bools
+    json.dumps({**GOOD_LINE, "t": False}),
+    json.dumps({**GOOD_LINE, "t": 0.0}),
+    json.dumps({**GOOD_LINE, "prices_before": [False, False]}),
+    json.dumps({**GOOD_LINE, "prices_before": [0.0, 0.0]}),
+    json.dumps({**GOOD_LINE, "prices_after": [1, True]}),
+    json.dumps({**GOOD_LINE, "prices_after": [1, "1"]}),
+    json.dumps({**GOOD_LINE, "draws": [
+        {"item": False, "candidates": [0], "chosen": 0}, GOOD_LINE["draws"][1]]}),
+    json.dumps({**GOOD_LINE, "draws": [
+        GOOD_LINE["draws"][0], {"item": 1, "candidates": [0, True], "chosen": 1}]}),
+    json.dumps({**GOOD_LINE, "draws": [
+        GOOD_LINE["draws"][0], {"item": 1, "candidates": [0, 1], "chosen": True}]}),
+    json.dumps({**GOOD_LINE, "draws": [
+        GOOD_LINE["draws"][0], {"item": 1, "candidates": "01", "chosen": 1}]}),
+    json.dumps({**GOOD_LINE, "draws": [
+        GOOD_LINE["draws"][0], {"item": 1, "candidates": [0, 1], "chosen": 1.0}]}),
 ]
 
 

@@ -385,6 +385,19 @@ def test_run_trials_validates_arguments():
         run_trials(sc, 5, trace_path="anywhere.jsonl")
 
 
+def test_run_trials_refuses_non_integer_counts_before_the_oracle(monkeypatch):
+    oracle_calls = []
+    monkeypatch.setattr(scenarios, "optimal_welfare",
+                        lambda valuations: oracle_calls.append(valuations))
+    sc = build_bad_pair(10)
+    for bad in (True, False, 2.5, "3", 0, -1):
+        with pytest.raises(ValueError):
+            run_trials(sc, bad)
+        with pytest.raises(ValueError):
+            run_trials(sc, 3, jobs=bad)
+    assert oracle_calls == []
+
+
 def test_summary_dict_shape():
     stats = run_trials(build_bad_pair(10), 20, seed=2)
     summary = stats.summary_dict()
