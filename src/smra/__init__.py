@@ -39,16 +39,13 @@ from .valuations import (
 )
 from .mechanism import (
     AuctionOutcome,
-    AuctionState,
     Draw,
     ReplayResult,
     RoundRecord,
-    init_auction,
     masked_price_sums,
     read_trace_jsonl,
     replay_trace,
     run_auction,
-    run_round,
     write_trace_jsonl,
 )
 from .strategies import (

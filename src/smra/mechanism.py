@@ -59,16 +59,6 @@ class RoundRecord:
 
 
 @dataclass(frozen=True)
-class AuctionState:
-    """Public auction state between rounds (pure-step API)."""
-
-    round: int
-    prices: tuple[int, ...]
-    provisional: tuple[int, ...]
-    history: tuple[RoundRecord, ...] = ()
-
-
-@dataclass(frozen=True)
 class AuctionOutcome:
     """Final (or, when diverged, partial) result of an auction run."""
 
@@ -77,15 +67,6 @@ class AuctionOutcome:
     rounds: int
     records: Optional[tuple[RoundRecord, ...]]
     diverged: bool = False
-
-
-def init_auction(m: int, n: int) -> AuctionState:
-    """Fresh state: all prices zero, nobody holds anything."""
-    if m < 1:
-        raise ValueError(f"need at least one item, got m={m}")
-    if n < 1:
-        raise ValueError(f"need at least one bidder, got n={n}")
-    return AuctionState(round=0, prices=(0,) * m, provisional=(0,) * n)
 
 
 def _plan_round(
@@ -141,41 +122,6 @@ def _settle(
         provisional[winner] |= low
         if draws is not None:
             draws.append(Draw(j, cands, winner))
-
-
-def run_round(
-    state: AuctionState, bids: Sequence[int], rng: random.Random
-) -> AuctionState:
-    """One pure step: plan and settle the round (no plan cache), and return
-    the next state with the round's record appended to its history.
-
-    A round in which every bid is empty is terminal; it is still recorded
-    (with no draws and no price change) so traces document termination.
-    """
-    if len(bids) != len(state.provisional):
-        raise ValueError(
-            f"got {len(bids)} bids for {len(state.provisional)} bidders"
-        )
-    demanded, steps = _plan_round(bids, state.provisional, len(state.prices))
-    prices = list(state.prices)
-    provisional = list(state.provisional)
-    draws: list[Draw] = []
-    _settle(prices, provisional, steps, rng.choice, draws)
-    record = RoundRecord(
-        t=state.round,
-        prices_before=state.prices,
-        bids=tuple(bids),
-        excess=demanded,
-        draws=tuple(draws),
-        prices_after=tuple(prices),
-        provisional=tuple(provisional),
-    )
-    return AuctionState(
-        round=state.round + 1,
-        prices=record.prices_after,
-        provisional=record.provisional,
-        history=state.history + (record,),
-    )
 
 
 def default_max_rounds(valuations: Sequence[Valuation]) -> int:
@@ -268,11 +214,10 @@ def run_auction(
     built once per round, on the first bidder that misses. Exceptions are
     never remembered.
 
-    The bids then go through the same plan, settlement and round record as
-    run_round, with the same seeded draws, so stepping run_round with a
-    trace's bids reproduces its records. Plans are cached per (bids,
-    holdings) for the call, so a recurring key skips the bid check and the
-    candidate scans, never the draws; a plan that raises is not cached.
+    The bids then go through _plan_round and _settle, which replay_trace
+    re-runs to check a trace. Plans are cached per (bids, holdings) for the
+    call, so a recurring key skips the bid check and the candidate scans,
+    never the draws; a plan that raises is not cached.
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
     settled round with (t, prices_after, provisional_masks); the masks
@@ -431,8 +376,16 @@ def write_trace_jsonl(records: Sequence[RoundRecord], file: IO[str] | str) -> No
         file.write("\n")
 
 
+def _int(x) -> int:
+    if type(x) is not int:  # a bool is not taken for 0 or 1
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
-    """Parse a trace written by write_trace_jsonl back into records."""
+    """Parse a trace written by write_trace_jsonl back into records. A
+    malformed line raises TraceMismatch, as does a round number, price or
+    draw entry that is not an int (a bool included)."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8") as handle:
             return read_trace_jsonl(handle)
@@ -455,15 +408,16 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
         try:
             m = len(obj["prices_before"])
             record = RoundRecord(
-                t=obj["t"],
-                prices_before=tuple(obj["prices_before"]),
+                t=_int(obj["t"]),
+                prices_before=tuple(map(_int, obj["prices_before"])),
                 bids=tuple(mask_of(b, m) for b in obj["bids"]),
                 excess=mask_of(obj["excess"], m),
                 draws=tuple(
-                    Draw(d["item"], tuple(d["candidates"]), d["chosen"])
+                    Draw(_int(d["item"]), tuple(map(_int, d["candidates"])),
+                         _int(d["chosen"]))
                     for d in obj["draws"]
                 ),
-                prices_after=tuple(obj["prices_after"]),
+                prices_after=tuple(map(_int, obj["prices_after"])),
                 provisional=tuple(mask_of(s, m) for s in obj["provisional"]),
             )
         except (KeyError, TypeError, UniverseMismatch) as exc:

@@ -663,10 +663,9 @@ def run_trials(
     flagged, not fatal. trace_path writes the (single) trial's JSONL
     trace and therefore requires trials == 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, count in (("trials", trials), ("jobs", jobs)):
+        if type(count) is not int or count < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
     if trace_path is not None and trials != 1:
         raise ValueError("a trace can only be written for a single trial")
 

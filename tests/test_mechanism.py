@@ -18,17 +18,16 @@ from smra import (
     LocallyOptimalStrategy,
     OracleTooLarge,
     PairBonusValuation,
+    ScriptedStrategy,
     SecureProfitMaxStrategy,
     TableValuation,
     TraceMismatch,
     TruthfulStrategy,
     UniverseMismatch,
-    init_auction,
     masked_price_sums,
     read_trace_jsonl,
     replay_trace,
     run_auction,
-    run_round,
     run_trials,
     truthful_bid,
     welfare,
@@ -47,98 +46,95 @@ def _bad_pair_outcome(seed, M=10, record=True):
     ), sc
 
 
+def _scripted_outcome(scripts, m, seed=0):
+    return run_auction(
+        tuple(AdditiveValuation((1,) * m) for _ in scripts),
+        tuple(ScriptedStrategy(script) for script in scripts),
+        seed=seed,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Initialization and single rounds
+# The empty start and single rounds
 
 
-def test_init_auction():
-    state = init_auction(2, 2)
-    assert state.round == 0
-    assert state.prices == (0, 0)
-    assert state.provisional == (0, 0)
-    assert state.history == ()
-    tiny = init_auction(1, 1)
-    assert tiny.prices == (0,)
-    assert tiny.provisional == (0,)
+def test_auctions_start_at_zero_prices_with_nothing_held():
+    for m, n in ((2, 2), (1, 1)):
+        seen = []
+
+        def abstain(ctx):
+            seen.append((ctx.t, ctx.prices, ctx.own_set))
+            return 0
+
+        outcome = run_auction(
+            (TableValuation((0,) * (1 << m)),) * n,
+            (CallableStrategy(abstain),) * n,
+        )
+        assert seen == [(0, (0,) * m, 0)] * n
+        (record,) = outcome.records
+        assert record.prices_before == (0,) * m
+        assert record.provisional == (0,) * n
 
 
-def test_init_auction_rejects_empty_dimensions():
+def test_empty_dimensions_are_refused():
     with pytest.raises(ValueError):
-        init_auction(0, 2)
+        TableValuation((0,))  # m = 0
     with pytest.raises(ValueError):
-        init_auction(2, 0)
+        AdditiveValuation(())
+    with pytest.raises(ValueError):
+        run_auction((), ())  # n = 0
 
 
 def test_all_empty_round_is_terminal_and_recorded():
-    state = init_auction(2, 2)
-    nxt = run_round(state, (0, 0), random.Random(0))
-    assert nxt.round == 1
-    assert nxt.prices == (0, 0)
-    assert nxt.provisional == (0, 0)
-    record = nxt.history[-1]
+    outcome = _scripted_outcome(((), ()), 2)
+    assert outcome.rounds == 0
+    assert outcome.prices == (0, 0)
+    assert outcome.allocation == (0, 0)
+    (record,) = outcome.records
+    assert record.t == 0
     assert record.bids == (0, 0)
     assert record.excess == 0
     assert record.draws == ()
     assert record.prices_after == record.prices_before == (0, 0)
+    assert record.provisional == (0, 0)
 
 
 def test_sole_demander_wins_without_consuming_randomness():
-    state = init_auction(1, 1)
-    rng = random.Random(42)
-    probe = random.Random(42)
-    nxt = run_round(state, (0b1,), rng)
-    assert nxt.prices == (1,)
-    assert nxt.provisional == (0b1,)
-    # the stream was never consulted for a single-candidate draw
-    assert rng.random() == probe.random()
+    outcome = _scripted_outcome(((0b1,),), 1, seed=42)
+    assert outcome.prices == (1,)
+    assert outcome.allocation == (0b1,)
+    # item 0 goes to its sole demander before item 1 is contested, so the
+    # contested draw is the stream's first
+    for seed in range(20):
+        outcome = _scripted_outcome(((0b11,), (0b10,)), 2, seed=seed)
+        sole, contested = outcome.records[0].draws
+        assert (sole.candidates, sole.chosen) == ((0,), 0)
+        assert contested.candidates == (0, 1)
+        assert contested.chosen == random.Random(seed).choice((0, 1))
 
 
 def test_contested_items_raise_prices_and_draw_owners():
-    state = init_auction(2, 2)
-    nxt = run_round(state, (0b11, 0b11), random.Random(3))
-    assert nxt.prices == (1, 1)
-    record = nxt.history[-1]
+    outcome = _scripted_outcome(((0b11,), (0b11,)), 2, seed=3)
+    record = outcome.records[0]
+    assert record.prices_after == (1, 1)
     assert record.excess == 0b11
     assert [d.item for d in record.draws] == [0, 1]
+    rng = random.Random(3)
     for draw in record.draws:
         assert draw.candidates == (0, 1)
-        assert draw.chosen in draw.candidates
-    held = nxt.provisional
+        assert draw.chosen == rng.choice(draw.candidates)
+    held = record.provisional
     assert held[0] & held[1] == 0
     assert held[0] | held[1] == 0b11
 
 
 def test_displaced_owner_is_never_a_candidate():
-    state = init_auction(1, 2)
-    rng = random.Random(0)
-    state = run_round(state, (0b1, 0), rng)
-    assert state.provisional == (0b1, 0)
-    state = run_round(state, (0, 0b1), rng)
-    record = state.history[-1]
-    assert record.draws[0].candidates == (1,)
-    assert state.provisional == (0, 0b1)
-    assert state.prices == (2,)
-
-
-# Bidder 1 asks for item 2 of a two-item universe; run_auction and
-# run_round must blame the same bidder for the same mask.
-BAD_BIDS = (0b01, 0b110)
-
-
-def test_run_round_rejects_invalid_bids():
-    state = init_auction(2, 2)
-    with pytest.raises(InvalidBid) as exc_info:
-        run_round(state, BAD_BIDS, random.Random(0))
-    assert (exc_info.value.bidder, exc_info.value.mask) == (1, BAD_BIDS[1])
-    held = run_round(state, (0b01, 0), random.Random(0))
-    with pytest.raises(InvalidBid):
-        run_round(held, (0b01, 0), random.Random(0))  # overlaps own holding
-    with pytest.raises(InvalidBid):
-        run_round(state, (0b100, 0), random.Random(0))  # outside universe
-    with pytest.raises(InvalidBid):
-        run_round(state, (-1, 0), random.Random(0))
-    with pytest.raises(ValueError):
-        run_round(state, (0, 0, 0), random.Random(0))  # wrong bidder count
+    outcome = _scripted_outcome(((0b1, 0), (0, 0b1)), 1)
+    first, second = outcome.records[:2]
+    assert first.provisional == (0b1, 0)
+    assert second.draws[0].candidates == (1,)
+    assert second.provisional == (0, 0b1)
+    assert outcome.prices == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +207,15 @@ def test_same_seed_reproduces_the_run_exactly():
 
 def test_recorded_bids_replay_to_the_same_end_state():
     outcome, sc = _bad_pair_outcome(7)
-    rng = random.Random(7)
-    state = init_auction(sc.m, len(sc.bidders))
-    for record in outcome.records:
-        state = run_round(state, record.bids, rng)
-    assert state.prices == outcome.prices
-    assert state.provisional == outcome.allocation
+    scripts = zip(*(record.bids for record in outcome.records))
+    rerun = run_auction(
+        sc.valuations, tuple(ScriptedStrategy(s) for s in scripts), seed=7
+    )
+    assert rerun.records == outcome.records
+    result = replay_trace(outcome.records)
+    assert (result.prices, result.provisional) == (
+        outcome.prices, outcome.allocation
+    )
 
 
 def test_default_round_budget():
@@ -265,6 +264,8 @@ def test_run_auction_rejects_bad_configurations():
         run_auction((), ())
     with pytest.raises(ValueError):
         run_auction((AdditiveValuation((1,)),), ())
+    with pytest.raises(ValueError):  # wrong strategy count
+        PreparedBidders((AdditiveValuation((1,)),) * 2, (TruthfulStrategy(),) * 3)
     with pytest.raises(UniverseMismatch):
         run_auction(
             (AdditiveValuation((1,)), AdditiveValuation((1, 2))),
@@ -301,10 +302,12 @@ def test_run_auction_polices_strategy_output():
     negative = CallableStrategy(lambda ctx: -1)
     with pytest.raises(InvalidBid):
         run_auction((AdditiveValuation((9,)),), (negative,), seed=0)
-    scripted = tuple(CallableStrategy(lambda ctx, b=b: b) for b in BAD_BIDS)
+    # bidder 1 asks for item 2 of a two-item universe and is blamed for it
+    scripted = (CallableStrategy(lambda ctx: 0b01),
+                CallableStrategy(lambda ctx: 0b110))
     with pytest.raises(InvalidBid) as exc_info:
         run_auction((AdditiveValuation((9, 9)),) * 2, scripted, seed=0)
-    assert (exc_info.value.bidder, exc_info.value.mask) == (1, BAD_BIDS[1])
+    assert (exc_info.value.bidder, exc_info.value.mask) == (1, 0b110)
 
 
 def test_an_invalid_bid_raises_every_time_its_key_recurs():
