@@ -307,6 +307,30 @@ def test_run_auction_polices_strategy_output():
     assert (exc_info.value.bidder, exc_info.value.mask) == (1, 0b110)
 
 
+def test_run_round_rejects_invalid_bids():
+    # Two bidders over two items; each list gives a bidder's bid per round.
+    def run(*per_round):
+        rules = tuple(
+            CallableStrategy(lambda ctx, bids=bids: bids[ctx.t])
+            for bids in per_round
+        )
+        return run_auction((AdditiveValuation((9, 9)),) * 2, rules, seed=0)
+
+    with pytest.raises(InvalidBid) as exc_info:
+        run((0b01,), (0b100,))  # outside the universe
+    assert (exc_info.value.bidder, exc_info.value.mask) == (1, 0b100)
+    with pytest.raises(InvalidBid) as exc_info:
+        run((0b01, 0b01), (0, 0))  # round 1 overlaps bidder 0's holding
+    assert (exc_info.value.bidder, exc_info.value.mask) == (0, 0b01)
+    with pytest.raises(InvalidBid) as exc_info:
+        run((-1,), (0,))
+    assert (exc_info.value.bidder, exc_info.value.mask) == (0, -1)
+    with pytest.raises(ValueError):  # wrong bidder count
+        run_auction(
+            (AdditiveValuation((9, 9)),) * 2, (TruthfulStrategy(),) * 3
+        )
+
+
 def test_an_invalid_bid_raises_every_time_its_key_recurs():
     # Round 1 repeats round 0's bids while bidder 0 holds item 0: a plan is
     # keyed by the holdings too, and a plan that raises is never cached.
