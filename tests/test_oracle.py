@@ -12,6 +12,7 @@ from smra import (
     InvalidAllocation,
     OracleTooLarge,
     RationalityReport,
+    RationalityScan,
     ScriptedStrategy,
     TableValuation,
     TruthfulStrategy,
@@ -171,6 +172,17 @@ def test_rationality_subset_cap_falls_back_to_full_and_singletons():
     report = measure_rationality(outcome, vals, subset_cap=2)
     assert report.lam == Fraction(1)  # the bad pair is no longer examined
     assert report.lam_full == Fraction(6, 20)
+
+
+def test_rationality_scan_refuses_a_subset_cap_that_is_not_an_int_ge_0():
+    outcome, vals = _fabricated_outcome()
+    for bad in (True, False, -1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="subset_cap"):
+            RationalityScan(vals, bad)
+        with pytest.raises(ValueError, match="subset_cap"):
+            measure_rationality(outcome, vals, subset_cap=bad)
+    assert measure_rationality(outcome, vals, subset_cap=0).lam_full == (
+        Fraction(6, 20))
 
 
 def test_rationality_rescans_a_kept_holding_whose_prices_moved():
