@@ -382,10 +382,18 @@ def _int(x) -> int:
     return x
 
 
+def _items(items, m: int) -> int:
+    mask = mask_of(items, m)
+    if mask.bit_count() != len(items):
+        raise ValueError(f"item list {items!r} names an item twice")
+    return mask
+
+
 def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
     """Parse a trace written by write_trace_jsonl back into records. A
-    malformed line raises TraceMismatch, as does a round number, price or
-    draw entry that is not an int (a bool included)."""
+    malformed line raises TraceMismatch, as does a key outside the trace
+    schema, an item list naming an item twice, or a round number, price
+    or draw entry that is not an int (a bool included)."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8") as handle:
             return read_trace_jsonl(handle)
@@ -400,27 +408,28 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
             raise TraceMismatch(f"trace line {line_no}: bad JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise TraceMismatch(f"trace line {line_no}: not a JSON object")
-        if not _TRACE_KEYS.issubset(obj):
+        if obj.keys() != _TRACE_KEYS:
             raise TraceMismatch(
                 f"trace line {line_no}: missing keys "
-                f"{sorted(_TRACE_KEYS - set(obj))}"
+                f"{sorted(_TRACE_KEYS - obj.keys())}, unknown keys "
+                f"{sorted(obj.keys() - _TRACE_KEYS)}"
             )
         try:
             m = len(obj["prices_before"])
             record = RoundRecord(
                 t=_int(obj["t"]),
                 prices_before=tuple(map(_int, obj["prices_before"])),
-                bids=tuple(mask_of(b, m) for b in obj["bids"]),
-                excess=mask_of(obj["excess"], m),
+                bids=tuple(_items(b, m) for b in obj["bids"]),
+                excess=_items(obj["excess"], m),
                 draws=tuple(
                     Draw(_int(d["item"]), tuple(map(_int, d["candidates"])),
                          _int(d["chosen"]))
                     for d in obj["draws"]
                 ),
                 prices_after=tuple(map(_int, obj["prices_after"])),
-                provisional=tuple(mask_of(s, m) for s in obj["provisional"]),
+                provisional=tuple(_items(s, m) for s in obj["provisional"]),
             )
-        except (KeyError, TypeError, UniverseMismatch) as exc:
+        except (KeyError, TypeError, ValueError, UniverseMismatch) as exc:
             raise TraceMismatch(
                 f"trace line {line_no}: malformed record ({exc!r})"
             ) from None

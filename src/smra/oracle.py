@@ -220,6 +220,8 @@ class RationalityScan:
     its items, so any records are measured exactly, overlapping holdings
     included. Witnesses stay (round, bidder, mask) until report() decodes
     them. Value tables are `tables` if given, else the valuations' own.
+    A subset_cap that is not an int >= 0 (a bool included) raises
+    ValueError.
     """
 
     __slots__ = ("_tables", "_subset_cap", "_num", "_den", "_witness",
@@ -227,6 +229,9 @@ class RationalityScan:
 
     def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20,
                  tables: Optional[Sequence[Sequence[int]]] = None):
+        if type(subset_cap) is not int or subset_cap < 0:
+            raise ValueError(
+                f"subset_cap must be an int >= 0, got {subset_cap!r}")
         self._tables = tables or [v.value_table() for v in valuations]
         self._subset_cap = subset_cap
         self._num, self._den, self._witness = 0, 1, None

@@ -661,11 +661,17 @@ def run_trials(
     depend on `jobs`. The exact welfare oracle runs once. A diverged trial
     (round budget exhausted) is recorded with its partial outcome and
     flagged, not fatal. trace_path writes the (single) trial's JSONL
-    trace and therefore requires trials == 1.
+    trace and therefore requires trials == 1. Before the oracle runs, a
+    trials or jobs that is not an int >= 1, a subset_cap that is not an
+    int >= 0 or a seed that is not an int (a bool is neither) raises
+    ValueError.
     """
-    for name, count in (("trials", trials), ("jobs", jobs)):
-        if type(count) is not int or count < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+    for name, count, least in (("trials", trials, 1), ("jobs", jobs, 1),
+                               ("subset_cap", subset_cap, 0)):
+        if type(count) is not int or count < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {count!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if trace_path is not None and trials != 1:
         raise ValueError("a trace can only be written for a single trial")
 

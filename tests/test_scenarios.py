@@ -400,10 +400,12 @@ def test_run_trials_refuses_non_integer_counts_before_the_oracle(monkeypatch):
 
 def test_run_trials_refuses_a_bad_subset_cap_or_seed_before_the_oracle(
         monkeypatch):
+    sc = build_bad_pair(10)
+    # the edges that stay legal: a cap of 0 and a negative seed
+    assert len(run_trials(sc, 2, seed=-5, subset_cap=0).rows) == 2
     oracle_calls = []
     monkeypatch.setattr(scenarios, "optimal_welfare",
                         lambda valuations: oracle_calls.append(valuations))
-    sc = build_bad_pair(10)
     for bad in (True, False, -1, 2.5, "3", None):
         with pytest.raises(ValueError, match="subset_cap"):
             run_trials(sc, 3, subset_cap=bad)
@@ -411,8 +413,6 @@ def test_run_trials_refuses_a_bad_subset_cap_or_seed_before_the_oracle(
         with pytest.raises(ValueError, match="seed"):
             run_trials(sc, 3, seed=bad)
     assert oracle_calls == []
-    # the edges that stay legal: a cap of 0 and a negative seed
-    assert len(run_trials(sc, 2, seed=-5, subset_cap=0).rows) == 2
 
 
 def test_summary_dict_shape():
