@@ -31,8 +31,9 @@ from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
-# Bids one valuation remembers per rule (see decision_memo) and plans one
-# run_auction call keeps; a full cache is emptied, so memory stays bounded.
+# Bids one valuation remembers per rule (see decision_memo), and rounds and
+# state sightings one PreparedBidders keeps (see PreparedBidders); a full
+# cache is emptied, so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
 
@@ -167,7 +168,19 @@ class PreparedBidders:
     rule object. Per bidder: value table, memo (the dict on the
     valuation), the last-bid bits a memo key keeps, and propose;
     max_rounds is the default round budget. Raises as common_universe and
-    value_table do."""
+    value_table do.
+
+    rounds is the round cache: it maps a round-start state (holdings,
+    prices, last round's bids or None when no rule reads a last bid) to
+    that round's (bids, plan). It exists only when every rule is memoised.
+    Then each bid is a function of (own set, prices, last bid minus own
+    set), all read off the state, and the plan is a function of (bids,
+    holdings), so one lookup stands for the whole round's proposing and
+    planning. A state is admitted on its second sighting, tracked in the
+    sightings set of state hashes: no state recurs within one auction
+    (every round but the last raises a price), and many never recur at
+    all. A list with a scripted, callable or wrapped rule has rounds =
+    None. Both are emptied at DECISION_CACHE_LIMIT entries."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -182,6 +195,9 @@ class PreparedBidders:
             -1 if s.depends_on == "last_bid" else 0 for s in strategies]
         self.proposers = [s.propose for s in strategies]
         self.max_rounds = default_max_rounds(valuations)
+        self.reads_last_bid = any(self.last_bid_bits)
+        self.rounds: dict | None = {} if None not in self.memos else None
+        self.sightings: set[int] = set()
 
     @cached_property
     def classes(self) -> list[int]:
@@ -211,13 +227,17 @@ def run_auction(
     (see decision_memo) that has met its key before gets its remembered
     bid instead, without a propose call. A bidder's context is built on
     its first propose and refreshed on each later one; the price table is
-    built once per round, on the first bidder that misses. Exceptions are
-    never remembered.
+    built once per round, on the first bidder that misses. The bids then
+    go through _plan_round (the bid check) and _settle, which replay_trace
+    re-runs to check a trace.
 
-    The bids then go through _plan_round and _settle, which replay_trace
-    re-runs to check a trace. Plans are cached per (bids, holdings) for the
-    call, so a recurring key skips the bid check and the candidate scans,
-    never the draws; a plan that raises is not cached.
+    When every rule is memoised, a round whose start state is in the
+    prepared round cache (see PreparedBidders) takes its bids and plan
+    from there, with no propose, memo lookup or bid check, and leaves the
+    contexts as they are. The draws, the max_rounds check, the record,
+    the histories and the observer are the same on every round, cached or
+    not. Exceptions are never remembered, so a round whose bids or plan
+    raise is never cached.
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
     settled round with (t, prices_after, provisional_masks); the masks
@@ -249,58 +269,73 @@ def run_auction(
     proposers = prepared.proposers
     memos = prepared.memos
     last_bid_bits = prepared.last_bid_bits
-    plans: dict = {}
+    rounds = prepared.rounds
+    sightings = prepared.sightings
+    reads_last_bid = prepared.reads_last_bid
     choose = random.Random(seed).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
-    bids = [0] * n
+    bids = (0,) * n
 
     t = 0
     while True:
         current_prices = price_history[-1]
-        price_sums = None
         last_bids = bids
-        bids = []
-        for i in bidders:
-            own = provisional[i]
-            memo = memos[i]
-            if memo is not None:
-                key = (own, current_prices, last_bids[i] & last_bid_bits[i] & ~own)
-                bid = memo.get(key)
-                if bid is not None:
-                    bids.append(bid)
-                    continue
-            if price_sums is None:
-                price_sums = masked_price_sums(prices, m)
-            ctx = contexts[i]
-            if ctx is None:
-                ctx = contexts[i] = BidContext(
-                    bidder=i, valuation=valuations[i], t=t,
-                    prices=current_prices, price_history=price_history,
-                    own_set=own, own_set_history=own_set_histories[i],
-                    own_bid_history=own_bid_histories[i], m=m,
-                    value_table=prepared.value_tables[i], price_sums=price_sums,
-                    popcounts=popcounts,
-                )
-            else:
-                ctx.t = t
-                ctx.prices = current_prices
-                ctx.own_set = own
-                ctx.price_sums = price_sums
-            bid = proposers[i](ctx)
-            if memo is not None:
-                if len(memo) >= DECISION_CACHE_LIMIT:
-                    memo.clear()
-                memo[key] = bid
-            bids.append(bid)
-
-        bids_key = tuple(bids)
-        plan_key = (bids_key, held)
-        plan = plans.get(plan_key)
-        if plan is None:
-            if len(plans) >= DECISION_CACHE_LIMIT:
-                plans.clear()
-            plan = plans[plan_key] = _plan_round(bids, held, m)
+        if rounds is not None:
+            state = (held, current_prices, last_bids if reads_last_bid else None)
+            cached = rounds.get(state)
+        else:
+            state = cached = None
+        if cached is not None:
+            bids, plan = cached
+        else:
+            price_sums = None
+            proposed = []
+            for i in bidders:
+                own = provisional[i]
+                memo = memos[i]
+                if memo is not None:
+                    key = (own, current_prices,
+                           last_bids[i] & last_bid_bits[i] & ~own)
+                    bid = memo.get(key)
+                    if bid is not None:
+                        proposed.append(bid)
+                        continue
+                if price_sums is None:
+                    price_sums = masked_price_sums(prices, m)
+                ctx = contexts[i]
+                if ctx is None:
+                    ctx = contexts[i] = BidContext(
+                        bidder=i, valuation=valuations[i], t=t,
+                        prices=current_prices, price_history=price_history,
+                        own_set=own, own_set_history=own_set_histories[i],
+                        own_bid_history=own_bid_histories[i], m=m,
+                        value_table=prepared.value_tables[i],
+                        price_sums=price_sums, popcounts=popcounts,
+                    )
+                else:
+                    ctx.t = t
+                    ctx.prices = current_prices
+                    ctx.own_set = own
+                    ctx.price_sums = price_sums
+                bid = proposers[i](ctx)
+                if memo is not None:
+                    if len(memo) >= DECISION_CACHE_LIMIT:
+                        memo.clear()
+                    memo[key] = bid
+                proposed.append(bid)
+            bids = tuple(proposed)
+            plan = _plan_round(bids, held, m)
+            if state is not None:
+                sighting = hash(state)
+                if sighting in sightings:
+                    if len(rounds) >= DECISION_CACHE_LIMIT:
+                        rounds.clear()
+                    rounds[state] = bids, plan
+                else:
+                    if len(sightings) >= DECISION_CACHE_LIMIT:
+                        sightings.clear()
+                    sightings.add(sighting)
         demanded, steps = plan
         if demanded and t >= max_rounds:
             partial = AuctionOutcome(
@@ -319,7 +354,7 @@ def run_auction(
                 RoundRecord(
                     t=t,
                     prices_before=current_prices,
-                    bids=bids_key,
+                    bids=bids,
                     excess=demanded,
                     draws=tuple(draws),
                     prices_after=new_prices,

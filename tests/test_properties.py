@@ -39,6 +39,7 @@ from smra import (
     random_near_submodular,
     replay_trace,
     run_auction,
+    run_trials,
     truthful_bid,
 )
 from smra import mechanism
@@ -585,3 +586,133 @@ def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, ca
             valuations, strategies, seed, prepared=prepared) == fresh
         if cap is not None:
             assert all(len(memo) <= cap for memo in prepared.memos if memo)
+            assert len(prepared.rounds) <= cap
+            assert len(prepared.sightings) <= cap
+
+
+# ---------------------------------------------------------------------------
+# The round cache: a warm PreparedBidders runs every round as a cold one
+
+
+def _observed_run(valuations, strategies, seed, **options):
+    """(outcome or ("diverged", partial), observer calls, λ report)."""
+    calls = []
+    scan = RationalityScan(valuations)
+
+    def observer(t, prices, provisional):
+        calls.append((t, prices, tuple(provisional)))
+        scan.update(t, prices, provisional)
+
+    try:
+        outcome = run_auction(valuations, strategies, seed, observer=observer,
+                              **options)
+    except Divergence as exc:
+        outcome = "diverged", exc.outcome
+    return outcome, calls, scan.report()
+
+
+def _warm(build, seeds=range(20)):
+    """A scenario's bidders and a PreparedBidders that has run `seeds`."""
+    scenario = build()
+    valuations, strategies = scenario.valuations, scenario.strategies
+    prepared = PreparedBidders(valuations, strategies)
+    for seed in seeds:
+        run_auction(valuations, strategies, seed, prepared=prepared)
+    assert prepared.rounds
+    return valuations, strategies, prepared
+
+
+def _counting_plans(monkeypatch):
+    plans = []
+    real = mechanism._plan_round
+    monkeypatch.setattr(mechanism, "_plan_round",
+                        lambda *args: plans.append(args) or real(*args))
+    return plans
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
+], ids=["bad_pair", "truthful_tight"])
+def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
+    valuations, strategies, warm = _warm(build)
+    # cold: fresh valuations, so empty decision memos and no round cache
+    expected = [_observed_run(build().valuations, build().strategies, seed)
+                for seed in range(20, 40)]
+    plans = _counting_plans(monkeypatch)
+    got = [_observed_run(valuations, strategies, seed, prepared=warm)
+           for seed in range(20, 40)]
+    assert got == expected
+    assert len(plans) < sum(outcome.rounds + 1 for outcome, _, _ in got)
+
+
+def _previous_bid_bidders():
+    # three bidders who start from last round's bid: some round-start
+    # (holdings, prices) recur with different last bids and different bids
+    valuations = tuple(random_near_submodular(2, 2, 8, random.Random(40 + i)
+                                              .randrange(2**32))
+                       for i in range(3))
+    return valuations, (LocallyOptimalStrategy("previous"),) * 3
+
+
+def test_the_round_cache_keys_on_last_bids_where_a_rule_reads_them():
+    valuations, strategies = _previous_bid_bidders()
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(30):
+        assert _auction_result(valuations, strategies, seed,
+                               prepared=warm) == (
+            _auction_result(*_previous_bid_bidders(), seed))
+    assert warm.rounds
+
+
+def test_a_warm_round_cache_diverges_at_the_cold_round():
+    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
+    for seed in range(20, 30):
+        cold = build_bad_pair(100)
+        expected = _observed_run(cold.valuations, cold.strategies, seed,
+                                 max_rounds=10)
+        got = _observed_run(valuations, strategies, seed, max_rounds=10,
+                            prepared=warm)
+        assert got == expected
+        assert got[0][0] == "diverged" and got[0][1].rounds == 10
+
+
+@pytest.mark.parametrize("other", [
+    ScriptedStrategy((0b01, 0b10, 0b01)), CallableStrategy(truthful_bid),
+], ids=["scripted", "callable"])
+def test_a_list_with_an_unmemoised_rule_has_no_round_cache(other):
+    valuations = build_bad_pair(10).valuations
+    strategies = (TruthfulStrategy(), other)
+    prepared = PreparedBidders(valuations, strategies)
+    assert prepared.rounds is None
+    for seed in range(10):
+        fresh = build_bad_pair(10).valuations
+        assert _auction_result(valuations, strategies, seed,
+                               prepared=prepared) == (
+            _auction_result(fresh, strategies, seed))
+    assert prepared.rounds is None and not prepared.sightings
+    if isinstance(other, CallableStrategy):
+        # a wrapped truthful rule bids as the cached truthful one
+        warm_valuations, truthful, warm = _warm(lambda: build_bad_pair(10))
+        assert truthful == (TruthfulStrategy(),) * 2
+        for seed in range(10):
+            assert _auction_result(valuations, strategies, seed) == (
+                _auction_result(warm_valuations, truthful, seed,
+                                prepared=warm))
+
+
+def test_the_round_cache_admits_only_states_seen_twice():
+    # truthful_tight's round-1 states record which bidders won, and never
+    # recur: only the round-0 state is admitted
+    scenario = build_truthful_tight(4, 3, 60)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    prepared = PreparedBidders(valuations, strategies)
+    for seed in range(50):
+        run_auction(valuations, strategies, seed, record_trace=False,
+                    prepared=prepared)
+    assert 1 <= len(prepared.rounds) <= 3
+
+
+def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
+    plans = _counting_plans(monkeypatch)
+    stats = run_trials(build_bad_pair(100), 200, 7)
+    assert len(plans) * 10 < sum(row.rounds + 1 for row in stats.rows)
