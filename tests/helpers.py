@@ -363,11 +363,14 @@ MALFORMED_LINES = [
         GOOD_LINE["draws"][0], {"item": 1, "candidates": "01", "chosen": 1}]}),
     json.dumps({**GOOD_LINE, "draws": [
         GOOD_LINE["draws"][0], {"item": 1, "candidates": [0, 1], "chosen": 1.0}]}),
-    # an item list naming an item twice, and a key outside the trace schema
+    # an item list naming an item twice, and keys outside the trace schema
     json.dumps({**GOOD_LINE, "bids": [[0, 1, 0], [1]]}),
     json.dumps({**GOOD_LINE, "excess": [0, 1, 1]}),
     json.dumps({**GOOD_LINE, "provisional": [[0, 0], [1]]}),
     json.dumps({**GOOD_LINE, "extra": 1}),
+    json.dumps({**GOOD_LINE, "draws": [
+        GOOD_LINE["draws"][0],
+        {"item": 1, "candidates": [0, 1], "chosen": 1, "extra": 1}]}),
 ]
 
 
