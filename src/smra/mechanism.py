@@ -383,6 +383,7 @@ _TRACE_KEYS = {
     "t", "prices_before", "bids", "excess", "draws", "prices_after",
     "provisional",
 }
+_DRAW_KEYS = {"item", "candidates", "chosen"}
 
 
 def _record_to_json(record: RoundRecord) -> dict:
@@ -424,10 +425,18 @@ def _items(items, m: int) -> int:
     return mask
 
 
+def _draw(d) -> Draw:
+    if set(d) != _DRAW_KEYS:
+        raise ValueError(f"draw {d!r} does not have exactly the keys "
+                         f"{sorted(_DRAW_KEYS)}")
+    return Draw(_int(d["item"]), tuple(map(_int, d["candidates"])),
+                _int(d["chosen"]))
+
+
 def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
     """Parse a trace written by write_trace_jsonl back into records. A
     malformed line raises TraceMismatch, as does a key outside the trace
-    schema, an item list naming an item twice, or a round number, price
+    schema (in a round or a draw), an item list naming an item twice, or a round number, price
     or draw entry that is not an int (a bool included)."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8") as handle:
@@ -456,15 +465,11 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
                 prices_before=tuple(map(_int, obj["prices_before"])),
                 bids=tuple(_items(b, m) for b in obj["bids"]),
                 excess=_items(obj["excess"], m),
-                draws=tuple(
-                    Draw(_int(d["item"]), tuple(map(_int, d["candidates"])),
-                         _int(d["chosen"]))
-                    for d in obj["draws"]
-                ),
+                draws=tuple(_draw(d) for d in obj["draws"]),
                 prices_after=tuple(map(_int, obj["prices_after"])),
                 provisional=tuple(_items(s, m) for s in obj["provisional"]),
             )
-        except (KeyError, TypeError, ValueError, UniverseMismatch) as exc:
+        except (TypeError, ValueError, UniverseMismatch) as exc:
             raise TraceMismatch(
                 f"trace line {line_no}: malformed record ({exc!r})"
             ) from None
