@@ -713,6 +713,8 @@ def test_the_round_cache_admits_only_states_seen_twice():
 
 
 def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
+    # 590 plans for 14,410 rounds; a plan cache per run_auction call made
+    # 800 (four per auction), and no cache makes one per round
     plans = _counting_plans(monkeypatch)
     stats = run_trials(build_bad_pair(100), 200, 7)
-    assert len(plans) * 10 < sum(row.rounds + 1 for row in stats.rows)
+    assert len(plans) * 20 < sum(row.rounds + 1 for row in stats.rows)
