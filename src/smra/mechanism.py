@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, IO, Optional, Sequence
 
 from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
@@ -31,9 +30,8 @@ from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
-# Bids one valuation remembers per rule (see decision_memo), and rounds and
-# state sightings one PreparedBidders keeps (see PreparedBidders); a full
-# cache is emptied, so memory stays bounded.
+# Entries a PreparedBidders keeps per decision memo, round cache and
+# sightings set; a full cache is emptied, so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
 
@@ -142,33 +140,16 @@ def masked_price_sums(prices: Sequence[int], m: int) -> list[int]:
     return sums
 
 
-def decision_memo(valuation: Valuation, strategy: Strategy) -> dict | None:
-    """The bids this rule has made for this valuation object, keyed by
-    (own set, prices, last bid minus own set or 0), or None when the rule
-    is not memoised (see Strategy.depends_on).
-
-    The memo lives on the valuation object, so it dies with it and is
-    shared by every bidder and trial of the process that holds that
-    object with an equal strategy. It is left out of the valuation's
-    pickled state, so pool workers start empty.
-    """
-    if type(strategy).propose not in MEMOISABLE_PROPOSE:
-        return None
-    memos = getattr(valuation, "_decisions", None)
-    if memos is None:
-        memos = {}
-        object.__setattr__(valuation, "_decisions", memos)
-    return memos.setdefault(strategy, {})
-
-
 class PreparedBidders:
-    """run_auction's setup of one bidder list, built once and shared by its
-    auctions in one process. classes[i], computed on first read, numbers
-    bidder i's class: same valuation object and decision memo, else same
-    rule object. Per bidder: value table, memo (the dict on the
-    valuation), the last-bid bits a memo key keeps, and propose;
-    max_rounds is the default round budget. Raises as common_universe and
-    value_table do.
+    """run_auction's setup of one bidder list and the owner of its caches,
+    shared by its auctions in one process (a Scenario keeps one for its
+    lifetime). Per bidder: value table, decision memo, the last-bid bits
+    a memo key keeps, and propose; max_rounds is the default round
+    budget. Raises as common_universe and value_table do. A memo maps
+    (own set, prices, last bid minus own set or 0) to the rule's bid; it
+    is None for a rule that is not memoised (see Strategy.depends_on),
+    and one dict serves all bidders with one valuation object and equal
+    rules.
 
     rounds is the round cache: it maps a round-start state (holdings,
     prices, last round's bids or None when no rule reads a last bid) to
@@ -180,7 +161,7 @@ class PreparedBidders:
     sightings set of state hashes: no state recurs within one auction
     (every round but the last raises a price), and many never recur at
     all. A list with a scripted, callable or wrapped rule has rounds =
-    None. Both are emptied at DECISION_CACHE_LIMIT entries."""
+    None. Each cache is emptied at DECISION_CACHE_LIMIT entries."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -189,7 +170,10 @@ class PreparedBidders:
             raise ValueError(f"{n} valuations but {len(strategies)} strategies")
         self.valuations, self.strategies, self.n, self.m = (
             valuations, strategies, n, m)
-        self.memos = [decision_memo(*vs) for vs in zip(valuations, strategies)]
+        shared: dict = {}
+        self.memos = [shared.setdefault((id(v), s), {})
+                      if type(s).propose in MEMOISABLE_PROPOSE else None
+                      for v, s in zip(valuations, strategies)]
         self.value_tables = [v.value_table() for v in valuations]
         self.last_bid_bits = [
             -1 if s.depends_on == "last_bid" else 0 for s in strategies]
@@ -198,14 +182,6 @@ class PreparedBidders:
         self.reads_last_bid = any(self.last_bid_bits)
         self.rounds: dict | None = {} if None not in self.memos else None
         self.sightings: set[int] = set()
-
-    @cached_property
-    def classes(self) -> list[int]:
-        keys: dict = {}
-        return [
-            keys.setdefault((id(v), id(s if memo is None else memo)), len(keys))
-            for v, s, memo in zip(self.valuations, self.strategies, self.memos)
-        ]
 
 
 def run_auction(
@@ -220,11 +196,12 @@ def run_auction(
 ) -> AuctionOutcome:
     """Run a full auction to termination.
 
-    Bidder setup is `prepared` if built from these very valuations and
-    strategies (run_trials builds one per chunk), else a new one. Each
-    round every strategy sees a BidContext (current prices, own holdings,
-    full histories) and proposes a bid mask. A memoised rule
-    (see decision_memo) that has met its key before gets its remembered
+    Bidder setup and caches are `prepared` if built from these very
+    valuations and strategies (run_trials passes Scenario.prepared), else
+    a new one, so a call without it reuses nothing from earlier calls.
+    Each round every strategy sees a BidContext (current prices, own
+    holdings, full histories) and proposes a bid mask. A memoised rule
+    (see PreparedBidders) that has met its key before gets its remembered
     bid instead, without a propose call. A bidder's context is built on
     its first propose and refreshed on each later one; the price table is
     built once per round, on the first bidder that misses. The bids then

@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import inf
 from typing import Callable, IO, Optional, Sequence, Union
 
@@ -66,6 +66,11 @@ class TrialEvent:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A bidder list and its events. The valuations and strategies tuples
+    are built once, and prepared (their PreparedBidders: memos and round
+    cache) on first use, and each lasts as long as the scenario. A pickle
+    keeps only the fields, so each pool worker builds its own."""
+
     name: str
     m: int
     bidders: tuple[BidderSpec, ...]
@@ -79,13 +84,20 @@ class Scenario:
         if m != self.m:
             raise UniverseMismatch(f"bidders have m={m}, scenario has m={self.m}")
 
-    @property
+    @cached_property
     def valuations(self) -> tuple[Valuation, ...]:
         return tuple(b.valuation for b in self.bidders)
 
-    @property
+    @cached_property
     def strategies(self) -> tuple[Strategy, ...]:
         return tuple(b.strategy for b in self.bidders)
+
+    @cached_property
+    def prepared(self) -> PreparedBidders:
+        return PreparedBidders(self.valuations, self.strategies)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def spec_dict(self) -> dict:
         return {
@@ -217,8 +229,8 @@ def build_bad_pair(M: int = 100) -> Scenario:
     """Two bidders, two items, singles worth 1 and the pair worth M, both
     bidding truthfully: a coin flip between a welfare-2 split and a
     welfare-M sweep."""
-    if M < 2:
-        raise ValueError(f"M must be >= 2, got {M}")
+    if type(M) is not int or M < 2:
+        raise ValueError(f"M must be an integer >= 2, got {M!r}")
     valuation = PairBonusValuation(m=2, unit=1, pair=M)
     bidders = tuple(BidderSpec(valuation, TruthfulStrategy()) for _ in range(2))
     return Scenario(
@@ -234,10 +246,9 @@ def build_truthful_tight(k: int = 4, alpha: int = 3, L: int = 60) -> Scenario:
     """k items, L identical bidders whose first item is underweighted by
     alpha, all truthful: the crowd splits the items one each, while the
     optimum hands everything to one bidder."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if not isinstance(alpha, int) or alpha < 1:
-        raise ValueError(f"alpha must be an integer >= 1, got {alpha!r}")
+    for name, val, least in (("k", k, 2), ("alpha", alpha, 1), ("L", L, 1)):
+        if type(val) is not int or val < least:  # a bool is not an integer
+            raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
     if L <= k:
         raise ValueError(f"need more bidders than items (L > k), got L={L}, k={k}")
     valuation = SymmetricStepValuation(m=k, num=alpha, den=1)
@@ -269,7 +280,7 @@ def build_local_tight(
     block item wanting that item plus the shared last item z. Everyone
     bids by local search."""
     for name, val in (("k", k), ("n", n), ("alpha", alpha), ("H", H), ("L", L)):
-        if not isinstance(val, int) or val < 1:
+        if type(val) is not int or val < 1:  # a bool is not an integer
             raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
     if H <= alpha:
         raise ValueError(f"need H > alpha, got H={H}, alpha={alpha}")
@@ -311,8 +322,8 @@ def build_superadditive(M: int = 50) -> Scenario:
     """Two items; two unit-demand bidders valuing one item each at 2, and
     one bidder valuing the pair at 2M but singles at only 1. Everyone bids
     securely, so the pair bidder goes home empty no matter how large M is."""
-    if M < 2:
-        raise ValueError(f"M must be >= 2, got {M}")
+    if type(M) is not int or M < 2:
+        raise ValueError(f"M must be an integer >= 2, got {M!r}")
     bidders = (
         BidderSpec(UnitDemandValuation((2, 0)), SecureProfitMaxStrategy()),
         BidderSpec(UnitDemandValuation((0, 2)), SecureProfitMaxStrategy()),
@@ -478,16 +489,16 @@ def _run_chunk(
     trials: range,
 ) -> list[TrialRow]:
     """The rows of the given trial indices: the one trial loop behind the
-    serial, pooled and traced runs. Bidder setup (PreparedBidders) is done
-    once per chunk, in the process that runs it, and shared by every
-    trial's auction and λ scan. λ is measured as the auction streams, by a
+    serial, pooled and traced runs. Every trial's auction and λ scan
+    reads scenario.prepared, built once per scenario in the process that
+    runs the chunk, so its caches carry over between chunks and
+    run_trials calls. λ is measured as the auction streams, by a
     RationalityScan observing every settled round (the terminal round
     moves nothing, and a diverged trial's partial trace holds exactly the
     rounds observed). A trace is recorded only for trace_path (single-trial
     runs only), which receives the trial's JSONL trace."""
-    valuations = scenario.valuations
-    strategies = scenario.strategies
-    prepared = PreparedBidders(valuations, strategies)
+    prepared = scenario.prepared
+    valuations, strategies = prepared.valuations, prepared.strategies
     rows = []
     for trial in trials:
         seed = derive_seed(master_seed, trial)
@@ -608,8 +619,16 @@ def aggregate_rows(
     return out
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"CSV flag {cell!r} is not 0 or 1")
+    return cell == "1"
+
+
 def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[TrialRow]]:
-    """Parse a CSV written by TrialStats.to_csv back into rows."""
+    """Parse a CSV written by TrialStats.to_csv back into rows. A foreign
+    header, a row whose cell count differs from the header's, or a flag
+    (diverged or event) other than 0 or 1 raises ValueError."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8", newline="") as handle:
             return read_rows_csv(handle)
@@ -621,6 +640,8 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
     event_names = tuple(name[len("event_"):] for name in header[width:])
     rows = []
     for rec in reader:
+        if len(rec) != len(header):
+            raise ValueError(f"CSV row {rec!r} is not {len(header)} cells")
         (trial, seed, rounds, w, _optimal, rnum, rden, lnum, lden,
          diverged) = rec[:width]
         if lnum == "":
@@ -637,8 +658,8 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
                 welfare=int(w),
                 ratio=Fraction(int(rnum), int(rden)),
                 lam=lam,
-                diverged=bool(int(diverged)),
-                events=tuple(bool(int(x)) for x in rec[width:]),
+                diverged=_flag(diverged),
+                events=tuple(map(_flag, rec[width:])),
             )
         )
     return event_names, rows

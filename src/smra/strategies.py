@@ -46,10 +46,10 @@ class BidContext:
     The runner builds a bidder's context on its first propose, with full
     histories whatever the round, and refreshes it on each later propose.
     The built-in truthful, secure and locally optimal rules are memoised
-    per valuation object, keyed by (own set, prices) -- plus last round's
-    bid minus the own set for local search from the previous bid -- so on
-    a repeated key they are not asked and their context is left as it
-    was. Custom rules (CallableStrategy, wrappers, subclasses overriding
+    in the run's PreparedBidders, per valuation object and equal rule,
+    keyed by (own set, prices) -- plus last round's bid minus the own set
+    for local search from the previous bid -- so on a repeated key they
+    are not asked and their context is left as it was. Custom rules (CallableStrategy, wrappers, subclasses overriding
     propose) and scripted bids are asked every round with a fresh context.
     """
 
@@ -305,11 +305,11 @@ class Strategy(ABC):
     bidder's provisional holdings.
 
     `depends_on` declares what a built-in rule's bid is a function of,
-    besides the bidder's valuation, so that run_auction can memoise it:
-    "state" is the own provisional set and the prices; "last_bid" adds
-    last round's bid minus the own set (0 in round 0). The engine reuses
-    a remembered bid only for the truthful, secure and locally optimal
-    rules' own propose. Every other rule -- scripted, CallableStrategy,
+    besides the bidder's valuation, so that run_auction can memoise it in
+    a PreparedBidders: "state" is the own provisional set and the prices;
+    "last_bid" adds last round's bid minus the own set (0 in round 0). The
+    engine reuses a remembered bid only for the truthful, secure and
+    locally optimal rules' own propose. Every other rule -- scripted, CallableStrategy,
     wrappers, and any subclass that overrides propose -- is asked every
     round with a freshly refreshed BidContext.
     """

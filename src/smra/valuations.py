@@ -69,13 +69,6 @@ class Valuation(ABC):
             object.__setattr__(self, "_table", table)
         return table
 
-    def __getstate__(self):
-        # The engine's per-process bid memo (mechanism.decision_memo) is
-        # not part of the valuation and does not travel to pool workers.
-        state = dict(self.__dict__)
-        state.pop("_decisions", None)
-        return state
-
     def max_value(self) -> int:
         """Worth of the full bundle (the largest value, by monotonicity)."""
         return self.value(full_mask(self.universe_size))
@@ -382,6 +375,8 @@ def valuation_from_spec(spec: dict) -> Valuation:
     except TypeError as exc:
         raise ValueError(f"malformed {form!r} valuation spec: {exc}") from None
     declared = spec.get("universe_size")
+    if declared is not None and type(declared) is not int:
+        raise ValueError(f"universe_size must be an integer, got {declared!r}")
     if declared is not None and declared != v.universe_size:
         raise UniverseMismatch(
             f"spec declares universe_size {declared} but the {form} form has "

@@ -400,4 +400,10 @@ MALFORMED_SCENARIOS = [
     {"name": "x", "m": 1, "bidders": [  # JSON bools as integer fields
         {**_GOOD_BIDDER, "valuation": {"form": "symmetric_step", "m": True,
                                        "alpha_num": True}}]},
+    {"name": "x", "m": 1, "bidders": [  # a JSON bool as universe_size
+        {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": [1],
+                                       "universe_size": True}}]},
+    {"name": "x", "m": 1, "bidders": [  # a float universe_size
+        {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": [1],
+                                       "universe_size": 1.0}}]},
 ]

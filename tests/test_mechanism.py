@@ -35,8 +35,8 @@ from smra import (
 )
 from smra import mechanism, strategies
 from smra.itemsets import mask_of, popcount_table
-from smra.mechanism import PreparedBidders, decision_memo, default_max_rounds
-from smra.scenarios import build_bad_pair, build_truthful_tight
+from smra.mechanism import PreparedBidders, default_max_rounds
+from smra.scenarios import build_bad_pair, build_local_tight, build_truthful_tight
 
 
 def _bad_pair_outcome(seed, M=10, record=True):
@@ -429,25 +429,30 @@ def truthful_calls(monkeypatch):
 
 def test_memo_serves_repeated_states_and_keeps_the_outcome(truthful_calls):
     sc = build_bad_pair(10)
-    cold = run_auction(sc.valuations, sc.strategies, seed=5)
+    args = sc.valuations, sc.strategies
+    cold = run_auction(*args, seed=5, prepared=sc.prepared)
     misses = len(truthful_calls)
     assert 0 < misses < 2 * (cold.rounds + 1)  # the two bidders share it
-    warm = run_auction(sc.valuations, sc.strategies, seed=5)
+    warm = run_auction(*args, seed=5, prepared=sc.prepared)
     assert warm == cold
     assert len(truthful_calls) == misses
+    # without `prepared` a call builds its own caches and reuses nothing
+    assert run_auction(*args, seed=5) == cold
+    assert len(truthful_calls) == 2 * misses
 
 
 def test_insecure_holdings_raise_on_every_run():
     # the posted variant wins both items at one increment over the price
     # it checked, after which the singletons (worth 0) are overpriced
-    valuation = TableValuation((0, 0, 0, 2))
-    strategy = SecureProfitMaxStrategy("posted")
+    valuations = (TableValuation((0, 0, 0, 2)),)
+    strategies = (SecureProfitMaxStrategy("posted"),)
+    prepared = PreparedBidders(valuations, strategies)
     for _ in range(2):
         with pytest.raises(InsecureProvisionalState) as exc_info:
-            run_auction((valuation,), (strategy,), seed=0)
+            run_auction(valuations, strategies, seed=0, prepared=prepared)
         assert exc_info.value.bidder == 0
         assert exc_info.value.witness_mask in (0b01, 0b10)
-    assert list(decision_memo(valuation, strategy).values()) == [0b11]
+    assert list(prepared.memos[0].values()) == [0b11]
 
 
 def test_overridden_propose_is_never_served_from_the_memo():
@@ -460,34 +465,42 @@ def test_overridden_propose_is_never_served_from_the_memo():
             return 0
 
     valuation = PairBonusValuation(2, 1, 10)
-    run_auction((valuation,), (TruthfulStrategy(),), seed=0)
-    assert decision_memo(valuation, TruthfulStrategy())
-    assert decision_memo(valuation, Abstainer()) is None
+    valuations = (valuation, valuation)
+    strategies = (TruthfulStrategy(), Abstainer())
+    prepared = PreparedBidders(valuations, strategies)
+    assert prepared.memos[0] == {} and prepared.memos[1] is None
+    rounds = []
     for _ in range(2):
-        outcome = run_auction((valuation,), (Abstainer(),), seed=0)
-        assert outcome.rounds == 0
-    assert calls == [0, 0]
+        outcome = run_auction(valuations, strategies, seed=0, prepared=prepared)
+        assert outcome.allocation == (0b11, 0)
+        rounds += range(outcome.rounds + 1)
+    assert prepared.memos[0]
+    assert calls == rounds  # asked every round of both runs
 
 
 def test_distinct_valuation_objects_never_share_entries(truthful_calls):
     first, second = PairBonusValuation(2, 1, 10), PairBonusValuation(2, 1, 10)
     assert first == second and first is not second
     strategy = TruthfulStrategy()
-    run_auction((first,), (strategy,), seed=0)
+    shared = PreparedBidders((first, first), (strategy, TruthfulStrategy()))
+    apart = PreparedBidders((first, second), (strategy, strategy))
+    assert shared.memos[0] is shared.memos[1]
+    assert apart.memos[0] is not apart.memos[1]
+    outcome = run_auction(shared.valuations, shared.strategies, seed=0,
+                          prepared=shared)
     misses = len(truthful_calls)
-    assert decision_memo(second, strategy) == {}
-    run_auction((second,), (strategy,), seed=0)
-    assert len(truthful_calls) == 2 * misses
-    assert decision_memo(first, strategy) == decision_memo(second, strategy)
+    assert run_auction(apart.valuations, apart.strategies, seed=0,
+                       prepared=apart) == outcome
+    assert len(truthful_calls) - misses > misses
 
 
 def test_memo_never_exceeds_its_cap(monkeypatch):
     monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", 3)
     sc = build_bad_pair(40)
-    memo = decision_memo(sc.valuations[0], sc.strategies[0])
+    memo = sc.prepared.memos[0]
     sizes = []
     outcome = run_auction(
-        sc.valuations, sc.strategies, seed=2,
+        sc.valuations, sc.strategies, seed=2, prepared=sc.prepared,
         observer=lambda t, prices, held: sizes.append(len(memo)),
     )
     assert outcome.rounds > 3
@@ -496,12 +509,12 @@ def test_memo_never_exceeds_its_cap(monkeypatch):
     assert run_auction(sc.valuations, uncached, seed=2) == outcome
 
 
-def test_prepared_bidders_group_classes_and_share_the_memos():
+def test_prepared_bidders_share_one_memo_per_valuation_and_rule():
     sc = build_truthful_tight(4, 3, 6)
     prepared = PreparedBidders(sc.valuations, sc.strategies)
     assert (prepared.n, prepared.m) == (6, 4)
-    assert prepared.classes == [0] * 6  # one valuation object, equal rules
-    memo = decision_memo(sc.valuations[0], sc.strategies[0])
+    memo = prepared.memos[0]
+    assert memo == {}  # one valuation object, equal rules
     assert all(m is memo for m in prepared.memos)
     assert prepared.value_tables == [sc.valuations[0].value_table()] * 6
     assert prepared.last_bid_bits == [0] * 6
@@ -509,16 +522,18 @@ def test_prepared_bidders_group_classes_and_share_the_memos():
 
     v, w = AdditiveValuation((1, 2)), AdditiveValuation((1, 2))
     rule = CallableStrategy(lambda ctx: 0)
-    equal_rule = CallableStrategy(rule.fn)
     local = LocallyOptimalStrategy("previous")
     prepared = PreparedBidders(
-        (v, v, v, w, v, v),
-        (rule, rule, equal_rule, TruthfulStrategy(), local, local),
+        (v, v, v, w, v, v, v),
+        (rule, rule, TruthfulStrategy(), TruthfulStrategy(), local,
+         LocallyOptimalStrategy("previous"), LocallyOptimalStrategy("empty")),
     )
-    # an unmemoised rule groups by object, a memoised one by its memo
-    assert prepared.classes == [0, 0, 1, 2, 3, 3]
-    assert prepared.memos[:3] == [None] * 3
-    assert prepared.last_bid_bits == [0, 0, 0, 0, -1, -1]
+    memos = prepared.memos
+    assert memos[:2] == [None] * 2
+    # one dict per (valuation object, equal rule): bidders 4 and 5 share
+    assert memos[4] is memos[5]
+    assert len({id(m) for m in memos[2:]}) == 4
+    assert prepared.last_bid_bits == [0, 0, 0, 0, -1, -1, 0]
 
 
 def test_a_prepared_object_of_other_bidders_is_not_used():
@@ -530,21 +545,23 @@ def test_a_prepared_object_of_other_bidders_is_not_used():
         ) == run_auction(sc.valuations, sc.strategies, seed)
 
 
+def _count_setups(monkeypatch):
+    """Counts PreparedBidders constructions (one default_max_rounds each)."""
+    calls = []
+    real = mechanism.default_max_rounds
+    monkeypatch.setattr(mechanism, "default_max_rounds",
+                        lambda vs: calls.append(vs) or real(vs))
+    return calls
+
+
 def test_bidder_setup_happens_once_per_chunk(monkeypatch):
-    calls = {"decision_memo": 0, "default_max_rounds": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(mechanism, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(mechanism, name, counted)
-    counts = []
+    setups = _count_setups(monkeypatch)
     for trials in (5, 50):
-        calls.update(dict.fromkeys(calls, 0))
-        run_trials(build_truthful_tight(4, 3, 60), trials, seed=31, jobs=1)
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0]["default_max_rounds"] == 1
-    assert 1 <= counts[0]["decision_memo"] <= 60
+        setups.clear()
+        sc = build_truthful_tight(4, 3, 60)
+        run_trials(sc, trials, seed=31, jobs=1)
+        assert setups == [sc.valuations]
+        assert len({id(memo) for memo in sc.prepared.memos}) == 1
 
 
 def test_memo_stays_out_of_the_pickled_scenario():
@@ -553,7 +570,53 @@ def test_memo_stays_out_of_the_pickled_scenario():
         valuation.value_table()
     before = pickle.dumps(sc)
     run_trials(sc, 20, seed=1, collect_lambda=False)
-    assert decision_memo(sc.valuations[0], sc.strategies[0])
+    assert sc.prepared.memos[0]
+    assert pickle.dumps(sc) == before
+    assert "prepared" not in vars(pickle.loads(before))
+
+
+def test_a_scenario_reads_one_bidder_list_and_one_prepared_object():
+    sc = build_truthful_tight(4, 3, 60)
+    assert sc.valuations is sc.valuations
+    assert sc.strategies is sc.strategies
+    assert sc.prepared is sc.prepared
+    assert (sc.prepared.valuations, sc.prepared.strategies) == (
+        sc.valuations, sc.strategies)
+    for seed in range(5):
+        run_auction(sc.valuations, sc.strategies, seed, prepared=sc.prepared)
+    assert sc.prepared.sightings
+
+
+def test_valuations_carry_no_engine_state():
+    for sc in (build_bad_pair(10), build_truthful_tight(4, 3, 6),
+               build_local_tight(L=2)):
+        run_trials(sc, 10, seed=4)
+        for v in sc.valuations:
+            own = {f.name for f in dataclasses.fields(v)}
+            assert set(vars(v)) - own <= {"_table"}
+
+
+def test_run_trials_calls_on_one_scenario_share_their_caches(
+        monkeypatch, truthful_calls):
+    setups = _count_setups(monkeypatch)
+    sc = build_truthful_tight(5, 3, 8)
+    first = run_trials(sc, 30, seed=9, collect_lambda=False)
+    misses = len(truthful_calls)
+    second = run_trials(sc, 30, seed=9, collect_lambda=False)
+    assert second.rows == first.rows
+    assert len(setups) == 1
+    assert len(truthful_calls) - misses < misses
+
+
+def test_a_pool_run_after_a_serial_one_sends_no_caches():
+    sc = build_bad_pair(10)
+    for valuation in sc.valuations:
+        valuation.value_table()
+    before = pickle.dumps(sc)
+    serial = run_trials(sc, 40, seed=6, jobs=1)
+    assert sc.prepared.rounds
+    pooled = run_trials(sc, 40, seed=6, jobs=2)
+    assert pooled.rows == serial.rows
     assert pickle.dumps(sc) == before
 
 

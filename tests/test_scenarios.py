@@ -138,6 +138,10 @@ def test_punishment_shape():
         lambda: build_local_tight(alpha=2, H=2),  # need H > alpha
         lambda: build_local_tight(k=0),
         lambda: build_local_tight(k=10, n=2),  # 21 items: beyond TABLE_LIMIT
+        # a bool is not taken for an integer
+        lambda: build_truthful_tight(4, True, 60),
+        lambda: build_local_tight(L=True),
+        lambda: build_local_tight(k=True),
     ],
 )
 def test_builder_parameter_validation(build):
@@ -485,6 +489,23 @@ def test_csv_file_round_trip(tmp_path):
     event_names, rows = read_rows_csv(path)
     assert tuple(rows) == stats.rows
     assert event_names == ("welfare_2",)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row[:-2],  # one event flag short
+    lambda row: row + ",0",  # one event flag too many
+    lambda row: row[:-3] + "7" + row[-2:],  # diverged is not a flag
+    lambda row: row[:-1] + "2",  # an event flag that is not 0 or 1
+    lambda row: row[:-1],  # an empty event flag
+], ids=["short", "wide", "diverged_7", "event_2", "event_empty"])
+def test_read_rows_rejects_malformed_rows(edit):
+    buf = io.StringIO(newline="")
+    run_trials(build_bad_pair(10), 3, seed=6).to_csv(buf)
+    header, first, *rest = buf.getvalue().splitlines()
+    assert first.endswith(",0,1") or first.endswith(",0,0")
+    text = "\n".join([header, edit(first), *rest]) + "\n"
+    with pytest.raises(ValueError):
+        read_rows_csv(io.StringIO(text, newline=""))
 
 
 def test_read_rows_rejects_foreign_headers():
