@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
 
 from __future__ import annotations
+
+
+def require_int(name: str, value, least: int | None = None,
+                error: type[Exception] = ValueError) -> int:
+    """Return value if it is an int (no bool or other subclass) >= least;
+    else raise `error` naming it. Every integer from outside input comes
+    through here; the caller's error class sets the CLI exit code."""
+    if type(value) is int and (least is None or value >= least):
+        return value
+    bound = "" if least is None else f" >= {least}"
+    raise error(f"{name} must be an int{bound}, got {value!r}")
 
 
 class SmraError(Exception):

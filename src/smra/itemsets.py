@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import UniverseMismatch
+from .errors import UniverseMismatch, require_int
 
 
 def full_mask(m: int) -> int:
@@ -44,8 +44,7 @@ def mask_of(items: Iterable[int], m: int | None = None) -> int:
     JSON true/false never pass as items 1 and 0)."""
     mask = 0
     for item in items:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise TypeError(f"item {item!r} is not an integer")
+        require_int("item", item, error=TypeError)
         if item < 0 or (m is not None and item >= m):
             raise UniverseMismatch(f"item {item} outside universe of size {m}")
         mask |= 1 << item

@@ -25,7 +25,8 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, IO, Optional, Sequence
 
-from .errors import Divergence, InvalidBid, TraceMismatch, UniverseMismatch
+from .errors import (Divergence, InvalidBid, TraceMismatch, UniverseMismatch,
+                     require_int)
 from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
@@ -221,18 +222,17 @@ def run_auction(
     list is live and must not be mutated. run_trials measures λ this way,
     with oracle.RationalityScan.update as the observer.
 
-    Raises as PreparedBidders does, ValueError for a max_rounds that is not
-    an int >= 0, InvalidBid for a bid outside the universe or overlapping
-    the bidder's own holdings, and Divergence (carrying the partial
-    outcome) if a round at or past max_rounds still demands something.
+    Raises as PreparedBidders does, ValueError for a seed that is not an
+    int (None would seed from OS entropy) or a max_rounds that is not an
+    int >= 0, InvalidBid for a bid outside the universe or overlapping the
+    bidder's own holdings, and Divergence (carrying the partial outcome)
+    if a round at or past max_rounds still demands something.
     """
     if (prepared is None or prepared.valuations is not valuations
             or prepared.strategies is not strategies):
         prepared = PreparedBidders(valuations, strategies)
-    if max_rounds is None:
-        max_rounds = prepared.max_rounds
-    elif type(max_rounds) is not int or max_rounds < 0:
-        raise ValueError(f"max_rounds must be an int >= 0, got {max_rounds!r}")
+    max_rounds = (prepared.max_rounds if max_rounds is None
+                  else require_int("max_rounds", max_rounds, 0))
     n, m = prepared.n, prepared.m
     popcounts = popcount_table(m)
 
@@ -249,7 +249,7 @@ def run_auction(
     rounds = prepared.rounds
     sightings = prepared.sightings
     reads_last_bid = prepared.reads_last_bid
-    choose = random.Random(seed).choice
+    choose = random.Random(require_int("seed", seed)).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = (0,) * n
@@ -390,9 +390,7 @@ def write_trace_jsonl(records: Sequence[RoundRecord], file: IO[str] | str) -> No
 
 
 def _int(x) -> int:
-    if type(x) is not int:  # a bool is not taken for 0 or 1
-        raise TypeError(f"{x!r} is not an integer")
-    return x
+    return require_int("trace entry", x, error=TypeError)
 
 
 def _items(items, m: int) -> int:

@@ -15,7 +15,7 @@ from itertools import compress
 from math import inf
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidAllocation, OracleTooLarge
+from .errors import InvalidAllocation, OracleTooLarge, require_int
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
 from .valuations import Valuation, common_universe
@@ -229,11 +229,8 @@ class RationalityScan:
 
     def __init__(self, valuations: Sequence[Valuation], subset_cap: int = 20,
                  tables: Optional[Sequence[Sequence[int]]] = None):
-        if type(subset_cap) is not int or subset_cap < 0:
-            raise ValueError(
-                f"subset_cap must be an int >= 0, got {subset_cap!r}")
+        self._subset_cap = require_int("subset_cap", subset_cap, 0)
         self._tables = tables or [v.value_table() for v in valuations]
-        self._subset_cap = subset_cap
         self._num, self._den, self._witness = 0, 1, None
         self._full_num, self._full_den, self._full_witness = 0, 1, None
 

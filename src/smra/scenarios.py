@@ -24,7 +24,7 @@ from functools import cached_property, partial
 from math import inf
 from typing import Callable, IO, Optional, Sequence, Union
 
-from .errors import Divergence, InvalidPartition, UniverseMismatch
+from .errors import Divergence, InvalidPartition, UniverseMismatch, require_int
 from .itemsets import full_mask, items_of, mask_of, mask_size
 from .mechanism import PreparedBidders, run_auction, write_trace_jsonl
 from .oracle import RationalityScan, optimal_welfare, welfare
@@ -83,6 +83,7 @@ class Scenario:
         m = common_universe(self.valuations)
         if m != self.m:
             raise UniverseMismatch(f"bidders have m={m}, scenario has m={self.m}")
+        require_int("m", self.m)  # equal to m, yet maybe True for 1
 
     @cached_property
     def valuations(self) -> tuple[Valuation, ...]:
@@ -148,9 +149,7 @@ def scenario_from_spec(spec: dict) -> Scenario:
             raise ValueError(f"scenario JSON is missing {key!r}")
     if not isinstance(spec["name"], str):
         raise ValueError(f"name must be a string, got {spec['name']!r}")
-    m = spec["m"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = require_int("m", spec["m"], 1)
     if not isinstance(spec["bidders"], list):
         raise ValueError(f"bidders must be a list, got {spec['bidders']!r}")
     bidders = []
@@ -229,8 +228,7 @@ def build_bad_pair(M: int = 100) -> Scenario:
     """Two bidders, two items, singles worth 1 and the pair worth M, both
     bidding truthfully: a coin flip between a welfare-2 split and a
     welfare-M sweep."""
-    if type(M) is not int or M < 2:
-        raise ValueError(f"M must be an integer >= 2, got {M!r}")
+    require_int("M", M, 2)
     valuation = PairBonusValuation(m=2, unit=1, pair=M)
     bidders = tuple(BidderSpec(valuation, TruthfulStrategy()) for _ in range(2))
     return Scenario(
@@ -247,8 +245,7 @@ def build_truthful_tight(k: int = 4, alpha: int = 3, L: int = 60) -> Scenario:
     alpha, all truthful: the crowd splits the items one each, while the
     optimum hands everything to one bidder."""
     for name, val, least in (("k", k, 2), ("alpha", alpha, 1), ("L", L, 1)):
-        if type(val) is not int or val < least:  # a bool is not an integer
-            raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
+        require_int(name, val, least)
     if L <= k:
         raise ValueError(f"need more bidders than items (L > k), got L={L}, k={k}")
     valuation = SymmetricStepValuation(m=k, num=alpha, den=1)
@@ -280,8 +277,7 @@ def build_local_tight(
     block item wanting that item plus the shared last item z. Everyone
     bids by local search."""
     for name, val in (("k", k), ("n", n), ("alpha", alpha), ("H", H), ("L", L)):
-        if type(val) is not int or val < 1:  # a bool is not an integer
-            raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+        require_int(name, val, 1)
     if H <= alpha:
         raise ValueError(f"need H > alpha, got H={H}, alpha={alpha}")
     m = k * n + 1
@@ -322,8 +318,7 @@ def build_superadditive(M: int = 50) -> Scenario:
     """Two items; two unit-demand bidders valuing one item each at 2, and
     one bidder valuing the pair at 2M but singles at only 1. Everyone bids
     securely, so the pair bidder goes home empty no matter how large M is."""
-    if type(M) is not int or M < 2:
-        raise ValueError(f"M must be an integer >= 2, got {M!r}")
+    require_int("M", M, 2)
     bidders = (
         BidderSpec(UnitDemandValuation((2, 0)), SecureProfitMaxStrategy()),
         BidderSpec(UnitDemandValuation((0, 2)), SecureProfitMaxStrategy()),
@@ -348,9 +343,7 @@ def build_scripted_partition(partition: Sequence) -> Scenario:
     parts = []
     for part in partition:
         mask = part if isinstance(part, int) else mask_of(part)
-        if mask <= 0:
-            raise InvalidPartition(f"every part must be a nonempty item set")
-        parts.append(mask)
+        parts.append(require_int("part mask", mask, 1, InvalidPartition))
     if not parts:
         raise InvalidPartition("need at least one part")
     seen = 0
@@ -619,6 +612,15 @@ def aggregate_rows(
     return out
 
 
+def _cell_int(cell: str) -> int:
+    """An integer cell as to_csv writes it: ASCII digits after an optional
+    "-" (int() alone also takes "0_0", " 3", "+3" and non-ASCII digits)."""
+    digits = cell[1:] if cell[:1] == "-" else cell
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"CSV cell {cell!r} is not an integer")
+    return int(cell)
+
+
 def _flag(cell: str) -> bool:
     if cell not in ("0", "1"):
         raise ValueError(f"CSV flag {cell!r} is not 0 or 1")
@@ -627,8 +629,10 @@ def _flag(cell: str) -> bool:
 
 def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[TrialRow]]:
     """Parse a CSV written by TrialStats.to_csv back into rows. A foreign
-    header, a row whose cell count differs from the header's, or a flag
-    (diverged or event) other than 0 or 1 raises ValueError."""
+    header, a row whose cell count differs from the header's, an integer
+    cell that is not ASCII digits after an optional "-" (the λ cells may
+    also be both empty, or inf over 1), or a flag (diverged or event)
+    other than 0 or 1 raises ValueError."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8", newline="") as handle:
             return read_rows_csv(handle)
@@ -642,21 +646,21 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
     for rec in reader:
         if len(rec) != len(header):
             raise ValueError(f"CSV row {rec!r} is not {len(header)} cells")
-        (trial, seed, rounds, w, _optimal, rnum, rden, lnum, lden,
-         diverged) = rec[:width]
-        if lnum == "":
+        trial, seed, rounds, w, _optimal, rnum, rden = map(_cell_int, rec[:7])
+        lnum, lden, diverged = rec[7:width]
+        if lnum == lden == "":
             lam: Union[Fraction, float, None] = None
-        elif lnum == "inf":
+        elif (lnum, lden) == ("inf", "1"):
             lam = inf
         else:
-            lam = Fraction(int(lnum), int(lden))
+            lam = Fraction(_cell_int(lnum), _cell_int(lden))
         rows.append(
             TrialRow(
-                trial=int(trial),
-                seed=int(seed),
-                rounds=int(rounds),
-                welfare=int(w),
-                ratio=Fraction(int(rnum), int(rden)),
+                trial=trial,
+                seed=seed,
+                rounds=rounds,
+                welfare=w,
+                ratio=Fraction(rnum, rden),
                 lam=lam,
                 diverged=_flag(diverged),
                 events=tuple(map(_flag, rec[width:])),
@@ -688,11 +692,8 @@ def run_trials(
     ValueError.
     """
     for name, count, least in (("trials", trials, 1), ("jobs", jobs, 1),
-                               ("subset_cap", subset_cap, 0)):
-        if type(count) is not int or count < least:
-            raise ValueError(f"{name} must be an int >= {least}, got {count!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+                               ("subset_cap", subset_cap, 0), ("seed", seed, None)):
+        require_int(name, count, least)
     if trace_path is not None and trials != 1:
         raise ValueError("a trace can only be written for a single trial")
 

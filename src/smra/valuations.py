@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import inf
 from typing import Sequence, Union
 
-from .errors import GenerationFailed, NotMonotone, OracleTooLarge, UniverseMismatch
+from .errors import (GenerationFailed, NotMonotone, OracleTooLarge,
+                     UniverseMismatch, require_int)
 from .itemsets import full_mask, items_of
 
 RationalLike = Union[int, Fraction]
@@ -90,23 +91,14 @@ def common_universe(valuations: Sequence[Valuation]) -> int:
 
 
 def _require_int_fields(valuation, *names: str) -> None:
-    """Raise TypeError on a named field that is not an int (a bool included,
-    so JSON true/false never pass as 1 and 0)."""
+    """Raise TypeError on a named field that is not an int."""
     for name in names:
-        x = getattr(valuation, name)
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"{valuation.form} {name} must be an integer, got {x!r}")
+        require_int(f"{valuation.form} {name}", getattr(valuation, name),
+                    error=TypeError)
 
 
 def _require_nonneg_ints(values, what: str) -> tuple[int, ...]:
-    out = []
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise NotMonotone(f"{what} must be integers, got {x!r}")
-        if x < 0:
-            raise NotMonotone(f"{what} must be non-negative, got {x}")
-        out.append(x)
-    return tuple(out)
+    return tuple([require_int(what, x, 0, NotMonotone) for x in values])
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,11 @@ class TableValuation(Valuation):
     form = "table"
 
     def __post_init__(self):
-        vals = _require_nonneg_ints(self.values, "table values")
+        n = len(self.values)
+        if n > 1 << TABLE_LIMIT:
+            raise OracleTooLarge(f"{n} table values are past 2**{TABLE_LIMIT}")
+        vals = _require_nonneg_ints(self.values, "table value")
         object.__setattr__(self, "values", vals)
-        n = len(vals)
         if n < 2 or n & (n - 1):
             raise ValueError(f"table length must be 2**m with m >= 1, got {n}")
         _check_table_monotone(vals, n.bit_length() - 1)
@@ -148,7 +142,7 @@ class AdditiveValuation(Valuation):
 
     def __post_init__(self):
         object.__setattr__(
-            self, "weights", _require_nonneg_ints(self.weights, "weights")
+            self, "weights", _require_nonneg_ints(self.weights, "weight")
         )
         if not self.weights:
             raise ValueError("need at least one item")
@@ -180,7 +174,7 @@ class UnitDemandValuation(Valuation):
 
     def __post_init__(self):
         object.__setattr__(
-            self, "weights", _require_nonneg_ints(self.weights, "weights")
+            self, "weights", _require_nonneg_ints(self.weights, "weight")
         )
         if not self.weights:
             raise ValueError("need at least one item")
@@ -265,7 +259,7 @@ class PairBonusValuation(Valuation):
         _require_int_fields(self, "m")
         if self.m < 2:
             raise ValueError("pair_bonus needs at least two items")
-        _require_nonneg_ints((self.unit, self.pair), "pair_bonus values")
+        _require_nonneg_ints((self.unit, self.pair), "pair_bonus value")
         if self.pair < self.unit:
             raise NotMonotone("pair value below unit value is not monotone")
 
@@ -316,7 +310,7 @@ class TargetPairValuation(Valuation):
         if self.target == self.special:
             raise ValueError("target and special item must differ")
         _require_nonneg_ints(
-            (self.unit, self.special_value, self.bonus), "type2_pair values"
+            (self.unit, self.special_value, self.bonus), "type2_pair value"
         )
         if self.special_value + self.bonus < self.unit:
             raise NotMonotone("pair worth less than the target alone is not monotone")
@@ -375,9 +369,8 @@ def valuation_from_spec(spec: dict) -> Valuation:
     except TypeError as exc:
         raise ValueError(f"malformed {form!r} valuation spec: {exc}") from None
     declared = spec.get("universe_size")
-    if declared is not None and type(declared) is not int:
-        raise ValueError(f"universe_size must be an integer, got {declared!r}")
-    if declared is not None and declared != v.universe_size:
+    if (declared is not None
+            and require_int("universe_size", declared) != v.universe_size):
         raise UniverseMismatch(
             f"spec declares universe_size {declared} but the {form} form has "
             f"{v.universe_size} items"
@@ -531,16 +524,15 @@ def random_near_submodular(
     the exact O(m^2 * 2^m) recheck and a call may make up to
     _GENERATION_ATTEMPTS (200) of them.
     """
-    if not 1 <= m <= 10:
+    if require_int("m", m, 1) > 10:
         raise ValueError(f"m must be in 1..10, got {m}")
     alpha = Fraction(alpha)
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if value_cap < 0:
-        raise ValueError(f"value_cap must be >= 0, got {value_cap}")
+    require_int("value_cap", value_cap, 0)
     p, q = alpha.numerator, alpha.denominator
 
-    rng = random.Random(seed)
+    rng = random.Random(require_int("seed", seed))
     size = 1 << m
     target_floor = Fraction(1) / alpha
     for attempt in range(_GENERATION_ATTEMPTS):

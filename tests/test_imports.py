@@ -1,11 +1,13 @@
-"""Every imported name in the package and its tests is used, and every
-private module-level name in the package is referenced somewhere in it.
+"""Every imported name in the package and its tests is used, every
+private module-level name in the package is referenced somewhere in it,
+and only errors.require_int tests whether a value is an int.
 
 No linter ships with the project, so these scans are the guard: an import
 that nothing references fails here, and so does a `_name` function, class
-or constant that no module of the package uses any more. The package's
-__init__.py is exempt from the import scan, since its imports are the
-public re-exports.
+or constant that no module of the package uses any more, or a
+`type(x) is int` or `isinstance(x, bool)` test outside errors.py. The
+package's __init__.py is exempt from the import scan, since its imports
+are the public re-exports.
 """
 
 import ast
@@ -94,3 +96,43 @@ def test_scan_sees_an_orphaned_private_name():
 def test_no_orphaned_private_names():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert orphaned_private_names(sources) == []
+
+
+def integer_type_tests(source: str) -> list[str]:
+    """`type(...) is int`, `type(...) is not int` and `isinstance(..., bool)`
+    tests in the source, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            hit = (isinstance(node.left, ast.Call)
+                   and isinstance(node.left.func, ast.Name)
+                   and node.left.func.id == "type"
+                   and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                   and isinstance(node.comparators[0], ast.Name)
+                   and node.comparators[0].id == "int")
+        elif isinstance(node, ast.Call):
+            hit = (isinstance(node.func, ast.Name)
+                   and node.func.id == "isinstance" and len(node.args) == 2
+                   and any(isinstance(n, ast.Name) and n.id == "bool"
+                           for n in ast.walk(node.args[1])))
+        else:
+            hit = False
+        if hit:
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_scan_sees_an_integer_type_test():
+    source = ("a = type(x) is int\nb = type(y) is not int\n"
+              "c = isinstance(z, bool)\nd = isinstance(w, (int, bool))\n"
+              "e = isinstance(v, int) or type(u) is str\n")
+    assert integer_type_tests(source) == [
+        "type(x) is int (line 1)", "type(y) is not int (line 2)",
+        "isinstance(z, bool) (line 3)", "isinstance(w, (int, bool)) (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_require_int_tests_for_ints(path):
+    assert integer_type_tests(path.read_text(encoding="utf-8")) == []

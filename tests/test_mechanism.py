@@ -289,6 +289,15 @@ def test_round_budgets_must_be_non_negative_integers():
     assert exc_info.value.outcome.rounds == 0
 
 
+def test_seeds_must_be_integers():
+    # None would seed from OS entropy and give a different auction per call
+    sc = build_bad_pair(100)
+    for bad in [None] * 20 + [1.5, "abc", True, False]:
+        with pytest.raises(ValueError, match="seed must be an int"):
+            run_auction(sc.valuations, sc.strategies, bad)
+    assert run_auction(sc.valuations, sc.strategies, -3).rounds > 0
+
+
 def test_run_auction_polices_strategy_output():
     own_rebidder = CallableStrategy(lambda ctx: ctx.own_set or 0b1)
     with pytest.raises(InvalidBid):

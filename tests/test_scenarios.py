@@ -156,11 +156,16 @@ def test_partition_validation():
         build_scripted_partition([set()])
     with pytest.raises(InvalidPartition):
         build_scripted_partition([])
+    with pytest.raises(InvalidPartition):  # a bool is not the mask 0b1
+        build_scripted_partition([True])
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="empty", m=1, bidders=())
+    one_item = (BidderSpec(AdditiveValuation((1,)), ScriptedStrategy(())),)
+    with pytest.raises(ValueError, match="m must be an int"):
+        Scenario(name="bool", m=True, bidders=one_item)
     with pytest.raises(UniverseMismatch):
         Scenario(
             name="mixed",
@@ -491,13 +496,31 @@ def test_csv_file_round_trip(tmp_path):
     assert event_names == ("welfare_2",)
 
 
+def _with_cell(row: str, index: int, edit) -> str:
+    cells = row.split(",")
+    cells[index] = edit(cells[index])
+    return ",".join(cells)
+
+
 @pytest.mark.parametrize("edit", [
     lambda row: row[:-2],  # one event flag short
     lambda row: row + ",0",  # one event flag too many
     lambda row: row[:-3] + "7" + row[-2:],  # diverged is not a flag
     lambda row: row[:-1] + "2",  # an event flag that is not 0 or 1
     lambda row: row[:-1],  # an empty event flag
-], ids=["short", "wide", "diverged_7", "event_2", "event_empty"])
+    # integer cells take only what to_csv writes, not all that int() takes
+    lambda row: _with_cell(row, 0, lambda c: "0_0"),
+    lambda row: _with_cell(row, 1, lambda c: c[0] + "_" + c[1:]),
+    lambda row: _with_cell(row, 2, lambda c: " " + c),
+    lambda row: _with_cell(row, 3, lambda c: "+" + c),
+    lambda row: _with_cell(row, 4, lambda c: "١٠"),  # Arabic 10
+    lambda row: _with_cell(row, 7, lambda c: c + " "),
+    lambda row: _with_cell(_with_cell(row, 7, lambda c: "inf"), 8, lambda c: "2"),
+    lambda row: _with_cell(row, 7, lambda c: ""),
+], ids=["short", "wide", "diverged_7", "event_2", "event_empty",
+        "trial_0_0", "seed_underscore", "rounds_space", "welfare_plus",
+        "optimal_arabic", "lambda_num_space",
+        "lambda_inf_over_2", "lambda_num_empty"])
 def test_read_rows_rejects_malformed_rows(edit):
     buf = io.StringIO(newline="")
     run_trials(build_bad_pair(10), 3, seed=6).to_csv(buf)

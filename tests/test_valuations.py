@@ -116,6 +116,10 @@ def test_value_table_budget():
     v = AdditiveValuation((1,) * 21)
     with pytest.raises(OracleTooLarge):
         v.value_table()
+    # a table is held to the same bound when built, before any of its
+    # 2**21 entries is looked at (so these need not be valid values)
+    with pytest.raises(OracleTooLarge):
+        TableValuation(("x",) * (1 << 21))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +355,11 @@ def test_generation_parameter_validation():
         random_near_submodular(3, Fraction(1, 2), 10, seed=0)
     with pytest.raises(ValueError):
         random_near_submodular(3, 1, -1, seed=0)
+    # m, value_cap and seed are ints; a bool, a float or None is refused
+    for m, value_cap, seed in ((True, 10, 0), (2.0, 10, 0), (3, True, 0),
+                               (3, 10.5, 0), (3, 10, None), (3, 10, 1.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            random_near_submodular(m, 1, value_cap, seed=seed)
 
 
 # ---------------------------------------------------------------------------
