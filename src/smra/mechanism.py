@@ -32,7 +32,8 @@ from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
 # Entries a PreparedBidders keeps per decision memo, round cache and
-# sightings set; a full cache is emptied, so memory stays bounded.
+# sightings set, and rounds it keeps in segments; a full cache is emptied,
+# so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
 
@@ -154,7 +155,8 @@ class PreparedBidders:
 
     rounds is the round cache: it maps a round-start state (holdings,
     prices, last round's bids or None when no rule reads a last bid) to
-    that round's (bids, plan). It exists only when every rule is memoised.
+    that round's (bids, plan, whether the plan contests an item). It exists
+    only when every rule is memoised.
     Then each bid is a function of (own set, prices, last bid minus own
     set), all read off the state, and the plan is a function of (bids,
     holdings), so one lookup stands for the whole round's proposing and
@@ -162,7 +164,18 @@ class PreparedBidders:
     sightings set of state hashes: no state recurs within one auction
     (every round but the last raises a price), and many never recur at
     all. A list with a scripted, callable or wrapped rule has rounds =
-    None. Each cache is emptied at DECISION_CACHE_LIMIT entries."""
+    None. Each cache is emptied at DECISION_CACHE_LIMIT entries.
+
+    segments maps a head state to the deterministic stretch that starts
+    there: at least 2 cached rounds, each demanding something and
+    contesting nothing, so none draws. A segment is (k, the k price
+    tuples, final holdings, final bids, per bidder its k own sets, per
+    bidder its k own bids); None marks a head whose stretch ends within 2
+    rounds at a contested or all-empty round. Segments are walked off the
+    round cache only at heads (see run_auction), so a stretch is stored
+    once, not once per round of it. The rounds they span, a None counting
+    as one, are held under DECISION_CACHE_LIMIT by emptying segments when
+    a new one would pass it, and segments are emptied with rounds."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -183,6 +196,49 @@ class PreparedBidders:
         self.reads_last_bid = any(self.last_bid_bits)
         self.rounds: dict | None = {} if None not in self.memos else None
         self.sightings: set[int] = set()
+        self.segments: dict = {}
+        self.segment_rounds = 0
+
+    def _clear_rounds(self) -> None:
+        """Empty the round cache and the segments read off it."""
+        self.rounds.clear()
+        self.segments.clear()
+        self.segment_rounds = 0
+
+    def _segment(self, head: tuple) -> tuple | None:
+        """The segment starting at round-start state head, or None; walked
+        off the round cache and stored on first use. A walk that runs off
+        the cache within 2 rounds stores nothing: the cache may grow."""
+        if head in self.segments:
+            return self.segments[head]
+        rounds, reads_last_bid = self.rounds, self.reads_last_bid
+        state = head
+        price_steps, held_steps, bid_steps = [], [], []
+        while (cached := rounds.get(state)) is not None:
+            bids, (demanded, steps), drawn = cached
+            if drawn or not demanded:
+                break
+            prices, provisional = list(state[1]), list(state[0])
+            _settle(prices, provisional, steps, None, None)
+            state = (tuple(provisional), tuple(prices),
+                     bids if reads_last_bid else None)
+            held_steps.append(state[0])
+            price_steps.append(state[1])
+            bid_steps.append(bids)
+        else:  # ran off the cache, which may yet hold a longer stretch
+            if len(price_steps) < 2:
+                return None
+        k = len(price_steps)
+        segment = None if k < 2 else (
+            k, tuple(price_steps), held_steps[-1], bid_steps[-1],
+            tuple(zip(*held_steps)), tuple(zip(*bid_steps)))
+        size = max(k, 1)
+        if self.segment_rounds + size > DECISION_CACHE_LIMIT:
+            self.segments.clear()
+            self.segment_rounds = 0
+        self.segments[head] = segment
+        self.segment_rounds += size
+        return segment
 
 
 def run_auction(
@@ -216,6 +272,16 @@ def run_auction(
     the histories and the observer are the same on every round, cached or
     not. Exceptions are never remembered, so a round whose bids or plan
     raise is never cached.
+
+    A run with no observer and no trace jumps over deterministic stretches.
+    At a head -- round 0, or the state after a contested round or a round
+    the cache did not hold -- it takes the segment starting there (see
+    PreparedBidders). If its k rounds fit (t + k <= max_rounds), it sets
+    prices, holdings and last bids to the segment's final ones, extends
+    the histories, adds k to t and leaves the contexts as a cached round
+    does. Those rounds make no draw, so every outcome and byte is that of
+    running them; a segment that does not fit runs round by round and
+    diverges at the cold round.
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
     settled round with (t, prices_after, provisional_masks); the masks
@@ -253,6 +319,8 @@ def run_auction(
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = (0,) * n
+    jumps = rounds is not None and observer is None and records is None
+    head = jumps
 
     t = 0
     while True:
@@ -264,8 +332,23 @@ def run_auction(
         else:
             state = cached = None
         if cached is not None:
-            bids, plan = cached
+            bids, plan, drawn = cached
+            if head and not drawn:
+                segment = prepared._segment(state)
+                if segment is not None and t + segment[0] <= max_rounds:
+                    k, price_steps, held, bids, own_sets, own_bids = segment
+                    prices[:] = price_steps[-1]
+                    provisional[:] = held
+                    price_history.extend(price_steps)
+                    for i in bidders:
+                        own_set_histories[i].extend(own_sets[i])
+                        own_bid_histories[i].extend(own_bids[i])
+                    t += k
+                    head = False
+                    continue
+            head = jumps and drawn
         else:
+            head = jumps
             price_sums = None
             proposed = []
             for i in bidders:
@@ -307,8 +390,9 @@ def run_auction(
                 sighting = hash(state)
                 if sighting in sightings:
                     if len(rounds) >= DECISION_CACHE_LIMIT:
-                        rounds.clear()
-                    rounds[state] = bids, plan
+                        prepared._clear_rounds()
+                    rounds[state] = bids, plan, any(
+                        len(step[2]) > 1 for step in plan[1])
                 else:
                     if len(sightings) >= DECISION_CACHE_LIMIT:
                         sightings.clear()

@@ -621,6 +621,13 @@ def _cell_int(cell: str) -> int:
     return int(cell)
 
 
+def _denominator(cell: str) -> int:
+    value = _cell_int(cell)
+    if value <= 0:
+        raise ValueError(f"CSV denominator {cell!r} is not positive")
+    return value
+
+
 def _flag(cell: str) -> bool:
     if cell not in ("0", "1"):
         raise ValueError(f"CSV flag {cell!r} is not 0 or 1")
@@ -631,8 +638,9 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
     """Parse a CSV written by TrialStats.to_csv back into rows. A foreign
     header, a row whose cell count differs from the header's, an integer
     cell that is not ASCII digits after an optional "-" (the λ cells may
-    also be both empty, or inf over 1), or a flag (diverged or event)
-    other than 0 or 1 raises ValueError."""
+    also be both empty, or inf over 1), a ratio or λ denominator that is
+    not positive, or a flag (diverged or event) other than 0 or 1 raises
+    ValueError."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8", newline="") as handle:
             return read_rows_csv(handle)
@@ -646,14 +654,15 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
     for rec in reader:
         if len(rec) != len(header):
             raise ValueError(f"CSV row {rec!r} is not {len(header)} cells")
-        trial, seed, rounds, w, _optimal, rnum, rden = map(_cell_int, rec[:7])
+        trial, seed, rounds, w, _optimal, rnum = map(_cell_int, rec[:6])
+        rden = _denominator(rec[6])
         lnum, lden, diverged = rec[7:width]
         if lnum == lden == "":
             lam: Union[Fraction, float, None] = None
         elif (lnum, lden) == ("inf", "1"):
             lam = inf
         else:
-            lam = Fraction(_cell_int(lnum), _cell_int(lden))
+            lam = Fraction(_cell_int(lnum), _denominator(lden))
         rows.append(
             TrialRow(
                 trial=trial,

@@ -718,3 +718,158 @@ def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
     plans = _counting_plans(monkeypatch)
     stats = run_trials(build_bad_pair(100), 200, 7)
     assert len(plans) * 20 < sum(row.rounds + 1 for row in stats.rows)
+
+
+def _counting_settles(monkeypatch):
+    settles = []
+    real = mechanism._settle
+    monkeypatch.setattr(mechanism, "_settle",
+                        lambda *args: settles.append(args) or real(*args))
+    return settles
+
+
+def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
+    # a 10k-trial pass settles 20,870 of its 747,744 rounds (segment walks
+    # included); without segments it settles every round
+    settles = _counting_settles(monkeypatch)
+    stats = run_trials(build_bad_pair(100), 2000, 123, collect_lambda=False)
+    assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
+
+
+# ---------------------------------------------------------------------------
+# Segments: a jump over a deterministic stretch lands where the rounds would
+
+
+def _segments_of(prepared):
+    """The stored segments, without the stored absences."""
+    return [segment for segment in prepared.segments.values() if segment]
+
+
+def _quiet_result(valuations, strategies, seed, cap, **options):
+    """The outcome, or the partial one, of an untraced, unobserved run."""
+    try:
+        return run_auction(valuations, strategies, seed, max_rounds=cap,
+                           record_trace=False, **options)
+    except Divergence as exc:
+        return "diverged", exc.outcome
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bad_pair(100), lambda: build_bad_pair(10),
+    lambda: build_truthful_tight(4, 3, 6), lambda: build_local_tight(L=3),
+], ids=["bad_pair_100", "bad_pair_10", "truthful_tight", "local_tight"])
+def test_a_warm_segment_cache_gives_the_cold_rows(monkeypatch, build):
+    warm = build()
+    run_trials(warm, 300, 1, collect_lambda=False)
+    got = run_trials(warm, 300, 2, collect_lambda=False)
+    if warm.name == "bad_pair":
+        assert _segments_of(warm.prepared)
+    # cold: a fresh scenario that never jumps
+    monkeypatch.setattr(PreparedBidders, "_segment", lambda self, head: None)
+    assert got == run_trials(build(), 300, 2, collect_lambda=False)
+
+
+def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
+    scenario = build_bad_pair(100)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(20):
+        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+    assert max(segment[0] for segment in _segments_of(warm)) > 40
+    for seed in range(20, 25):
+        for cap in range(0, 100, 3):
+            cold = build_bad_pair(100)
+            assert _quiet_result(valuations, strategies, seed, cap,
+                                 prepared=warm) == (
+                _quiet_result(cold.valuations, cold.strategies, seed, cap))
+
+
+def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
+    valuations, strategies = _previous_bid_bidders()
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(40):
+        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+    segments = {head: segment for head, segment in warm.segments.items()
+                if segment}
+    assert segments
+    # forget every decision and the round after each segment, so the
+    # round a jump lands on asks the rules again
+    for memo in warm.memos:
+        memo.clear()
+    for _, price_steps, held, bids, _, _ in segments.values():
+        warm.rounds.pop((held, price_steps[-1], bids), None)
+    seen = []
+
+    def spy(i, propose):
+        def asked(ctx):
+            seen.append((ctx.t, i, tuple(ctx.own_set_history),
+                         tuple(ctx.own_bid_history)))
+            return propose(ctx)
+        return asked
+
+    warm.proposers = [spy(i, p) for i, p in enumerate(warm.proposers)]
+    jumped = 0
+    for seed in range(40, 80):
+        del seen[:]
+        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+        cold = run_auction(*_previous_bid_bidders(), seed).records
+        for t, i, own_sets, own_bids in seen:
+            assert own_sets == (0,) + tuple(
+                record.provisional[i] for record in cold[:t])
+            assert own_bids == tuple(record.bids[i] for record in cold[:t])
+        jumped += bool(seen) and seen[0][0] > 1
+    assert jumped
+
+
+@pytest.mark.parametrize("bidders, cap", [
+    (_previous_bid_bidders, 6), (_previous_bid_bidders, 16),
+    (_scenario_bidders(lambda: build_bad_pair(100)), 60),
+], ids=["previous_6", "previous_16", "bad_pair_60"])
+def test_segments_stay_within_the_cache_limit_and_empty_with_rounds(
+        monkeypatch, bidders, cap):
+    monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
+    valuations, strategies = bidders()
+    prepared = PreparedBidders(valuations, strategies)
+    built = clears = 0
+    for seed in range(300):
+        before = len(prepared.rounds)
+        _quiet_result(valuations, strategies, seed, None, prepared=prepared)
+        clears += len(prepared.rounds) < before
+        stored = sum(segment[0] if segment else 1
+                     for segment in prepared.segments.values())
+        assert stored <= cap
+        assert prepared.segments.keys() <= prepared.rounds.keys()
+        built += bool(_segments_of(prepared))
+    assert built and clears
+
+
+@pytest.mark.parametrize("options", [
+    {"record_trace": True}, {"record_trace": False, "observer": True},
+], ids=["traced", "observed"])
+def test_a_traced_or_observed_run_never_jumps(monkeypatch, options):
+    scenario = build_bad_pair(100)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(20):
+        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+    segments = dict(warm.segments)
+    assert _segments_of(warm)
+    settles = _counting_settles(monkeypatch)
+    for seed in range(20, 30):
+        cold = build_bad_pair(100)
+        fresh = PreparedBidders(cold.valuations, cold.strategies)
+        if options.get("observer"):
+            expected = _observed_run(cold.valuations, cold.strategies, seed,
+                                     record_trace=False, prepared=fresh)
+            del settles[:]
+            got = _observed_run(valuations, strategies, seed,
+                                record_trace=False, prepared=warm)
+        else:
+            expected = run_auction(cold.valuations, cold.strategies, seed,
+                                   prepared=fresh)
+            del settles[:]
+            got = run_auction(valuations, strategies, seed, prepared=warm)
+        assert got == expected
+        outcome = got[0] if isinstance(got, tuple) else got
+        assert len(settles) == outcome.rounds + 1
+    assert warm.segments == segments

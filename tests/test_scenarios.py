@@ -517,10 +517,17 @@ def _with_cell(row: str, index: int, edit) -> str:
     lambda row: _with_cell(row, 7, lambda c: c + " "),
     lambda row: _with_cell(_with_cell(row, 7, lambda c: "inf"), 8, lambda c: "2"),
     lambda row: _with_cell(row, 7, lambda c: ""),
+    # to_csv writes every denominator positive
+    lambda row: _with_cell(row, 6, lambda c: "0"),
+    lambda row: _with_cell(row, 6, lambda c: "-" + c),
+    lambda row: _with_cell(row, 8, lambda c: "0"),
+    lambda row: _with_cell(row, 8, lambda c: "-" + c),
 ], ids=["short", "wide", "diverged_7", "event_2", "event_empty",
         "trial_0_0", "seed_underscore", "rounds_space", "welfare_plus",
         "optimal_arabic", "lambda_num_space",
-        "lambda_inf_over_2", "lambda_num_empty"])
+        "lambda_inf_over_2", "lambda_num_empty",
+        "ratio_den_0", "ratio_den_negative", "lambda_den_0",
+        "lambda_den_negative"])
 def test_read_rows_rejects_malformed_rows(edit):
     buf = io.StringIO(newline="")
     run_trials(build_bad_pair(10), 3, seed=6).to_csv(buf)
