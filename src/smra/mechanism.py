@@ -272,6 +272,11 @@ def run_auction(
     the histories and the observer are the same on every round, cached or
     not. Exceptions are never remembered, so a round whose bids or plan
     raise is never cached.
+    The first all-empty round settles nothing, is recorded like any other,
+    and ends the auction. The observer, if given, is called after every
+    settled round with (t, prices_after, provisional_masks); the masks
+    list is live and must not be mutated. run_trials measures λ this way,
+    with oracle.RationalityScan.update as the observer.
 
     A run with no observer and no trace jumps over deterministic stretches.
     At a head -- round 0, or the state after a contested round or a round
@@ -282,11 +287,6 @@ def run_auction(
     does. Those rounds make no draw, so every outcome and byte is that of
     running them; a segment that does not fit runs round by round and
     diverges at the cold round.
-    The first all-empty round settles nothing, is recorded like any other,
-    and ends the auction. The observer, if given, is called after every
-    settled round with (t, prices_after, provisional_masks); the masks
-    list is live and must not be mutated. run_trials measures λ this way,
-    with oracle.RationalityScan.update as the observer.
 
     Raises as PreparedBidders does, ValueError for a seed that is not an
     int (None would seed from OS entropy) or a max_rounds that is not an

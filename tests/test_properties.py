@@ -773,15 +773,44 @@ def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
     scenario = build_bad_pair(100)
     valuations, strategies = scenario.valuations, scenario.strategies
     warm = PreparedBidders(valuations, strategies)
-    for seed in range(20):
+    for seed in range(40):  # enough to cache every stretch in full
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
     assert max(segment[0] for segment in _segments_of(warm)) > 40
-    for seed in range(20, 25):
+    heads = set(warm.segments)
+    for seed in range(40, 45):
         for cap in range(0, 100, 3):
             cold = build_bad_pair(100)
             assert _quiet_result(valuations, strategies, seed, cap,
                                  prepared=warm) == (
                 _quiet_result(cold.valuations, cold.strategies, seed, cap))
+    # the rounds of a segment that does not fit start no segments
+    assert set(warm.segments) == heads
+
+
+def test_a_segment_walk_stops_at_a_contested_round_or_a_cache_miss():
+    valuations = (AdditiveValuation((5, 5, 5)),) * 2
+    prepared = PreparedBidders(valuations, (TruthfulStrategy(),) * 2)
+    # two uncontested rounds, then both bidders want the unheld item 2
+    states = [((0, 0), (0, 0, 0), None), ((1, 2), (1, 1, 0), None),
+              ((2, 1), (2, 2, 0), None)]
+    for state, bids in zip(states, [(0b001, 0b010), (0b010, 0b001),
+                                    (0b100, 0b100)]):
+        plan = mechanism._plan_round(bids, state[0], 3)
+        prepared.rounds[state] = bids, plan, len(plan[1][0][2]) > 1
+    k, price_steps, held, bids, own_sets, own_bids = prepared._segment(
+        states[0])
+    assert (k, price_steps, held, bids) == (
+        2, ((1, 1, 0), (2, 2, 0)), (2, 1), (0b010, 0b001))
+    assert own_sets == ((1, 2), (2, 1))
+    assert own_bids == ((0b001, 0b010), (0b010, 0b001))
+    # one round before the contested one: remembered as no segment
+    assert prepared._segment(states[1]) is None
+    assert prepared.segments[states[1]] is None
+    # one round before a miss: nothing stored, the cache may grow
+    del prepared.rounds[states[2]]
+    prepared.segments.clear()
+    assert prepared._segment(states[1]) is None
+    assert not prepared.segments
 
 
 def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
@@ -789,14 +818,13 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
     warm = PreparedBidders(valuations, strategies)
     for seed in range(40):
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
-    segments = {head: segment for head, segment in warm.segments.items()
-                if segment}
+    segments = _segments_of(warm)
     assert segments
     # forget every decision and the round after each segment, so the
     # round a jump lands on asks the rules again
     for memo in warm.memos:
         memo.clear()
-    for _, price_steps, held, bids, _, _ in segments.values():
+    for _, price_steps, held, bids, _, _ in segments:
         warm.rounds.pop((held, price_steps[-1], bids), None)
     seen = []
 
@@ -843,10 +871,9 @@ def test_segments_stay_within_the_cache_limit_and_empty_with_rounds(
     assert built and clears
 
 
-@pytest.mark.parametrize("options", [
-    {"record_trace": True}, {"record_trace": False, "observer": True},
-], ids=["traced", "observed"])
-def test_a_traced_or_observed_run_never_jumps(monkeypatch, options):
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["traced", "observed"])
+def test_a_traced_or_observed_run_never_jumps(monkeypatch, observed):
     scenario = build_bad_pair(100)
     valuations, strategies = scenario.valuations, scenario.strategies
     warm = PreparedBidders(valuations, strategies)
@@ -858,18 +885,14 @@ def test_a_traced_or_observed_run_never_jumps(monkeypatch, options):
     for seed in range(20, 30):
         cold = build_bad_pair(100)
         fresh = PreparedBidders(cold.valuations, cold.strategies)
-        if options.get("observer"):
-            expected = _observed_run(cold.valuations, cold.strategies, seed,
-                                     record_trace=False, prepared=fresh)
-            del settles[:]
-            got = _observed_run(valuations, strategies, seed,
-                                record_trace=False, prepared=warm)
-        else:
-            expected = run_auction(cold.valuations, cold.strategies, seed,
-                                   prepared=fresh)
-            del settles[:]
-            got = run_auction(valuations, strategies, seed, prepared=warm)
+        # an observed run is untraced; either way no round may be skipped
+        run = _observed_run if observed else run_auction
+        options = {"record_trace": False} if observed else {}
+        expected = run(cold.valuations, cold.strategies, seed,
+                       prepared=fresh, **options)
+        del settles[:]
+        got = run(valuations, strategies, seed, prepared=warm, **options)
         assert got == expected
-        outcome = got[0] if isinstance(got, tuple) else got
+        outcome = got[0] if observed else got
         assert len(settles) == outcome.rounds + 1
     assert warm.segments == segments
