@@ -173,7 +173,9 @@ class PreparedBidders:
     bidder its k own bids); None marks a head whose stretch ends within 2
     rounds at a contested or all-empty round. Segments are walked off the
     round cache only at heads (see run_auction), so a stretch is stored
-    once, not once per round of it. The rounds they span, a None counting
+    once, not once per round of it. A walk that ran off the cache keeps
+    the state it missed in open_ends, and the head is walked again once
+    the cache holds that state. The rounds segments span, a None counting
     as one, are held under DECISION_CACHE_LIMIT by emptying segments when
     a new one would pass it, and segments are emptied with rounds."""
 
@@ -197,21 +199,33 @@ class PreparedBidders:
         self.rounds: dict | None = {} if None not in self.memos else None
         self.sightings: set[int] = set()
         self.segments: dict = {}
+        self.open_ends: dict = {}
+        self.segment_rounds = 0
+
+    def _clear_segments(self) -> None:
+        """Empty the segments and the open ends of their walks."""
+        self.segments.clear()
+        self.open_ends.clear()
         self.segment_rounds = 0
 
     def _clear_rounds(self) -> None:
         """Empty the round cache and the segments read off it."""
         self.rounds.clear()
-        self.segments.clear()
-        self.segment_rounds = 0
+        self._clear_segments()
 
     def _segment(self, head: tuple) -> tuple | None:
         """The segment starting at round-start state head, or None; walked
-        off the round cache and stored on first use. A walk that runs off
-        the cache within 2 rounds stores nothing: the cache may grow."""
-        if head in self.segments:
-            return self.segments[head]
+        off the round cache and stored on first use, and walked again once
+        the cache holds the state a stored walk ran off at. A walk that
+        runs off the cache within 2 rounds stores nothing: the cache may
+        grow."""
         rounds, reads_last_bid = self.rounds, self.reads_last_bid
+        if head in self.segments:
+            end = self.open_ends.get(head)
+            if end is None or end not in rounds:
+                return self.segments[head]
+            del self.open_ends[head]
+            self.segment_rounds -= self.segments.pop(head)[0]
         state = head
         price_steps, held_steps, bid_steps = [], [], []
         while (cached := rounds.get(state)) is not None:
@@ -234,10 +248,11 @@ class PreparedBidders:
             tuple(zip(*held_steps)), tuple(zip(*bid_steps)))
         size = max(k, 1)
         if self.segment_rounds + size > DECISION_CACHE_LIMIT:
-            self.segments.clear()
-            self.segment_rounds = 0
+            self._clear_segments()
         self.segments[head] = segment
         self.segment_rounds += size
+        if cached is None:  # the walk ran off the cache at state
+            self.open_ends[head] = state
         return segment
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import inf
+from operator import le, sub
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidAllocation, OracleTooLarge, require_int
@@ -49,12 +50,22 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     to any later row either. Copies of one valuation thus cost at most one
     idle layer once further copies stop raising any split.
 
+    A copy of a table whose layer gained costs no layer at all while the
+    row is supermodular. Every layer keeps the bidder's whole-mask bundle
+    as a candidate, so the row is at least that table on every nonempty
+    mask, and best[0] stays 0, so a supermodular row is superadditive:
+    table[A] + best[C] <= best[A] + best[C] <= best[A | C] for disjoint A
+    and C, and the copy is idle. This holds for any table, monotone or
+    not. The test runs at most once per row, so copies of a supermodular
+    valuation, as in truthful_tight, cost the closure and one test.
+
     Each gaining layer keeps its table and the row before it. From the
     last bidder down, the backtrack rescans that layer's submasks of the
     items still free in descending order; a bundle replaces the earlier
     bidders' split only if strictly better, so ties go to earlier bidders.
     The budget n * 3**m is checked before the DP and is still an upper
-    bound on its work; raises OracleTooLarge beyond it.
+    bound on its work; raises OracleTooLarge beyond it, even where copies
+    would make the DP cheap (truthful_tight with L = 30 at k >= 14).
     """
     n, m = len(valuations), common_universe(valuations)
     if n * 3**m > OPS_LIMIT:
@@ -67,11 +78,20 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     zero = best = [0] * size
     layers: list[Optional[tuple[tuple[int, ...], list[int]]]] = []
     idle: set[tuple[int, ...]] = set()  # tables whose layer left best as is
+    merged: set[tuple[int, ...]] = set()  # tables whose layer raised best
+    supermodular = None  # of best, tested on the first copy that needs it
     for v in valuations:
         table = v.value_table()
         if table in idle:
             layers.append(None)
             continue
+        if table in merged:
+            if supermodular is None:
+                supermodular = _supermodular(best, m)
+            if supermodular:
+                idle.add(table)
+                layers.append(None)
+                continue
         if best is zero:
             cur = list(table)
             cur[0] = 0
@@ -98,7 +118,9 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
             layers.append(None)
         else:
             layers.append((table, best))
+            merged.add(table)
             best = cur
+            supermodular = None
 
     assignment = [0] * n
     mask = size - 1
@@ -118,6 +140,41 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
         assignment[i] = pick
         mask ^= pick
     return OptimalAllocation(welfare=best[size - 1], assignment=tuple(assignment))
+
+
+def _slice_pairs(seq: Sequence[int], bit: int) -> list[tuple]:
+    """(low, high) slices of seq that pair every index s without bit with
+    s | bit: one stride slice pair per value of the bits below bit, or
+    one block pair per run of 2 * bit indices, whichever are fewer."""
+    step = 2 * bit
+    if bit < len(seq) // step:
+        return [(seq[r::step], seq[r + bit::step]) for r in range(bit)]
+    return [(seq[lo:lo + bit], seq[lo + bit:lo + step])
+            for lo in range(0, len(seq), step)]
+
+
+def _supermodular(row: Sequence[int], m: int) -> bool:
+    """Whether row[S|i|j] - row[S|i] - row[S|j] + row[S] >= 0 for all items
+    i < j outside S: item i's marginal d_i[S] = row[S|i] - row[S] never
+    falls as a later item j joins S.
+
+    d_i lists the marginals in slice order, which permutes the mask's
+    bits: strides put the items above i at d_i's low bits, blocks keep
+    them at bits i and up.
+    """
+    size = len(row)
+    for i in range(m):
+        bit = 1 << i
+        d: list[int] = []
+        for low, high in _slice_pairs(row, bit):
+            d += map(sub, high, low)
+        strided = bit < size // (2 * bit)  # as _slice_pairs chooses
+        later = range(m - 1 - i) if strided else range(i, m - 1)
+        for b in later:
+            if not all(all(map(le, low, high))
+                       for low, high in _slice_pairs(d, 1 << b)):
+                return False
+    return True
 
 
 def welfare(allocation: Sequence[int], valuations: Sequence[Valuation]) -> int:

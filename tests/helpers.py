@@ -48,6 +48,36 @@ def naive_degree(valuation: Valuation):
     return inf if best is None else best
 
 
+def supermodular_negatives(row: Sequence[int], m: int) -> list[tuple]:
+    """Every (S, i, j), i < j outside S, whose term row[S|i|j] - row[S|i]
+    - row[S|j] + row[S] is negative: none exactly when row is
+    supermodular."""
+    return [
+        (s, i, j)
+        for s in range(1 << m)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if not s >> i & 1 and not s >> j & 1
+        and row[s | 1 << i | 1 << j] - row[s | 1 << i] - row[s | 1 << j]
+        + row[s] < 0
+    ]
+
+
+def supermodular_values(
+    m: int, weights: Sequence[tuple[int, int]],
+    modular: Sequence[int] = (), constant: int = 0,
+) -> tuple[int, ...]:
+    """constant, plus modular[i] for each item i of S, plus w for each
+    (T, w) in weights with T inside S: supermodular when every w >= 0,
+    and monotone when the modular terms are >= 0 too."""
+    return tuple(
+        constant
+        + sum(c for i, c in enumerate(modular) if s >> i & 1)
+        + sum(w for t, w in weights if t & s == t)
+        for s in range(1 << m)
+    )
+
+
 def naive_optimal(valuations: Sequence[Valuation]) -> int:
     """Best welfare over all (n+1)^m assignments of items to a bidder or
     to nobody."""

@@ -6,7 +6,12 @@ from math import inf
 
 import pytest
 
-from helpers import naive_optimal, reference_measure_rationality
+from helpers import (
+    naive_optimal,
+    reference_measure_rationality,
+    supermodular_negatives,
+    supermodular_values,
+)
 from smra import (
     AdditiveValuation,
     InvalidAllocation,
@@ -23,7 +28,9 @@ from smra import (
     welfare,
     welfare_ratio,
 )
+from smra import oracle
 from smra.mechanism import AuctionOutcome, RoundRecord
+from smra.oracle import _supermodular
 from smra.scenarios import (
     build_bad_pair,
     build_local_tight,
@@ -74,6 +81,49 @@ def test_optimal_welfare_on_random_tables():
                 table[mask] = floor + rng.randint(0, 4)
             vals.append(TableValuation(table))
         assert optimal_welfare(vals).welfare == naive_optimal(vals)
+
+
+def test_optimal_welfare_of_the_wide_truthful_tight_instance(monkeypatch):
+    # 30 copies of one supermodular valuation on 12 items: the optimum
+    # gives every item to the first copy, and one test of the row after
+    # the first copy stands in for every later copy's layer
+    tested = []
+    monkeypatch.setattr(
+        oracle, "_supermodular",
+        lambda row, m: tested.append(m) or _supermodular(row, m))
+    result = optimal_welfare(build_truthful_tight(12, 3, 30).valuations)
+    assert result.welfare == 34
+    assert result.assignment == (0xFFF,) + (0,) * 29
+    assert tested == [12]
+
+
+def test_the_supermodularity_check_equals_the_pairwise_definition():
+    rng = random.Random(18)
+    for m in range(1, 9):
+        size = 1 << m
+        for _ in range(20):
+            row = [rng.randint(-4, 4) for _ in range(size)]
+            assert _supermodular(row, m) == (
+                not supermodular_negatives(row, m))
+            # modular terms of any sign, so often not monotone
+            weights = [(rng.randrange(size), rng.randint(0, 3))
+                       for _ in range(2 * m)]
+            modular = [rng.randint(-5, 5) for _ in range(m)]
+            row = supermodular_values(m, weights, modular, rng.randint(-3, 3))
+            assert _supermodular(row, m)
+            assert not supermodular_negatives(row, m)
+        # one negative term planted at each pair (i, j): every pair but
+        # (i, j) weighs 100, so lowering one S|i|j by 2 breaks only (S, i, j)
+        for j in range(m):
+            for i in range(j):
+                pairs = [(1 << a | 1 << b, 1 if (a, b) == (i, j) else 100)
+                         for b in range(m) for a in range(b)]
+                modular = [rng.randint(-5, 5) for _ in range(m)]
+                row = list(supermodular_values(m, pairs, modular))
+                s = rng.randrange(size) & ~(1 << i | 1 << j)
+                row[s | 1 << i | 1 << j] -= 2
+                assert supermodular_negatives(row, m) == [(s, i, j)]
+                assert not _supermodular(row, m)
 
 
 def test_oracle_rejects_oversized_instances():

@@ -16,6 +16,7 @@ from helpers import (
     naive_truthful,
     reference_measure_rationality,
     reference_optimal_welfare,
+    supermodular_values,
 )
 from smra import (
     AdditiveValuation,
@@ -26,6 +27,7 @@ from smra import (
     RationalityScan,
     ScriptedStrategy,
     SecureProfitMaxStrategy,
+    SymmetricStepValuation,
     TableValuation,
     TruthfulStrategy,
     degree_of_submodularity,
@@ -337,24 +339,45 @@ def test_memoised_runs_equal_uncached_runs(instance):
 COPY_KINDS = ("reused", "equal", "interleaved", "many")
 
 
+def supermodular_weights(m):
+    """Up to 2m (item set, weight >= 0) terms for supermodular_values."""
+    return st.lists(st.tuples(st.integers(1, (1 << m) - 1), st.integers(0, 4)),
+                    max_size=2 * m)
+
+
+def base_valuations(m):
+    """Any monotone table, or one of the supermodular kinds: additive,
+    symmetric step with num >= den, a drawn supermodular table."""
+    return st.one_of(
+        monotone_tables(min_m=m, max_m=m),
+        st.lists(st.integers(0, 4), min_size=m, max_size=m).map(
+            lambda weights: AdditiveValuation(tuple(weights))),
+        st.tuples(st.integers(1, 3), st.integers(0, 3)).map(
+            lambda dn: SymmetricStepValuation(m, dn[0] + dn[1], dn[0])),
+        supermodular_weights(m).map(
+            lambda weights: TableValuation(supermodular_values(m, weights))),
+    )
+
+
 @st.composite
 def repeated_valuations(draw):
     m = draw(st.integers(1, 5))
-    base = draw(monotone_tables(min_m=m, max_m=m))
+    base = draw(base_valuations(m))
     kind = draw(st.sampled_from(COPY_KINDS))
     if kind == "reused":  # one object, several bidders
         return (base,) * draw(st.integers(2, m + 2))
     if kind == "equal":  # equal tables held by distinct objects
         count = draw(st.integers(2, m + 2))
-        return tuple(TableValuation(base.values) for _ in range(count))
+        return tuple(TableValuation(base.value_table()) for _ in range(count))
     others = draw(st.lists(monotone_tables(min_m=m, max_m=m),
                            min_size=1, max_size=2))
+    equal = TableValuation(base.value_table())
     if kind == "interleaved":  # copies of base around other tables
-        pool = [base, TableValuation(base.values), *others]
+        pool = [base, equal, *others]
         return tuple(draw(st.lists(st.sampled_from(pool),
                                    min_size=3, max_size=8)))
     # more copies than items, reused and equal, with one other table
-    copies = [draw(st.sampled_from([base, TableValuation(base.values)]))
+    copies = [draw(st.sampled_from([base, equal]))
               for _ in range(draw(st.integers(m + 1, m + 3)))]
     copies.insert(draw(st.integers(0, len(copies))), others[0])
     return tuple(copies)
@@ -369,6 +392,12 @@ _COPIED = (0, 2, 0, 3, 2, 2, 4, 5)  # m = 3; a second copy still gains
 # copy 4 stays idle; skipping every repeat of a table loses welfare 1
 @example((TableValuation(_COPIED),) * 3
          + (TableValuation((0, 1, 2, 3, 0, 1, 3, 3)), TableValuation(_COPIED)))
+# the closure row is the additive table, so supermodular: its equal table
+# is idle without a scan; the first _COPIED layer leaves a row that is
+# not, so the second must be scanned, and it gains
+@example((AdditiveValuation((0, 0, 1)),
+          TableValuation((0, 0, 0, 0, 1, 1, 1, 1)),
+          TableValuation(_COPIED), TableValuation(_COPIED)))
 def test_optimal_welfare_equals_the_plain_dp(valuations):
     result = optimal_welfare(valuations)
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
@@ -397,11 +426,18 @@ class _RawTable(Valuation):
 @st.composite
 def raw_valuations(draw):
     """Idle all-zero tables first, so the subset-max closure runs late,
-    then draws from a few raw tables, repeats included."""
+    then draws from a few raw tables, repeats included. A raw table is
+    any table of small values, or a supermodular one whose modular terms
+    and empty-bundle value may be negative."""
     m = draw(st.integers(1, 5))
     size = 1 << m
     tables = st.lists(st.integers(0, 6), min_size=size, max_size=size)
-    pool = draw(st.lists(tables.map(_RawTable), min_size=1, max_size=3))
+    supermodular = st.builds(
+        supermodular_values, st.just(m), supermodular_weights(m),
+        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        st.integers(-3, 3))
+    pool = draw(st.lists(st.one_of(tables, supermodular).map(_RawTable),
+                         min_size=1, max_size=3))
     zeros = (_RawTable((0,) * size),) * draw(st.integers(0, 3))
     return zeros + tuple(draw(st.lists(st.sampled_from(pool),
                                        min_size=1, max_size=5)))
@@ -412,6 +448,9 @@ def raw_valuations(draw):
 # the first gaining table is worth 2 at {0} and at {1}, 1 at {0, 1}: the
 # descending rescan meets {1} before {0}, so the backtrack must keep {1}
 @example((_RawTable((0, 0, 0, 0)), _RawTable((0, 2, 2, 1))))
+# the closure row (0, 2, 0, 2) is supermodular though the table is not
+# monotone and its empty bundle is worth 3: the copy is idle without a scan
+@example((_RawTable((3, 2, 0, 1)),) * 2)
 def test_optimal_welfare_equals_the_plain_dp_on_raw_tables(valuations):
     result = optimal_welfare(valuations)
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
@@ -787,6 +826,34 @@ def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
     assert set(warm.segments) == heads
 
 
+def _stored_rounds(prepared):
+    return sum(segment[0] if segment else 1
+               for segment in prepared.segments.values())
+
+
+def test_a_segment_cut_by_a_cache_miss_is_walked_again_once_cached():
+    # capped runs cache a stretch only in part, so the walk from its head
+    # (2, 1) runs off the cache; once the rest is cached, that head must
+    # hold the whole stretch, as long as its mirror (1, 2)
+    scenario = build_bad_pair(100)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    warm = PreparedBidders(valuations, strategies)
+    runs = ([(seed, None) for seed in range(20)]
+            + [(20 + cap, cap) for cap in range(100)]
+            + [(seed, None) for seed in range(200, 250)])
+    for seed, cap in runs:
+        cold = build_bad_pair(100)
+        assert _quiet_result(valuations, strategies, seed, cap,
+                             prepared=warm) == (
+            _quiet_result(cold.valuations, cold.strategies, seed, cap))
+        assert warm.segment_rounds == _stored_rounds(warm)
+        assert warm.open_ends.keys() <= warm.segments.keys()
+    lengths = {head[0]: segment[0]
+               for head, segment in warm.segments.items() if segment}
+    assert lengths[(2, 1)] == lengths[(1, 2)] == 97
+    assert not warm.open_ends
+
+
 def test_a_segment_walk_stops_at_a_contested_round_or_a_cache_miss():
     valuations = (AdditiveValuation((5, 5, 5)),) * 2
     prepared = PreparedBidders(valuations, (TruthfulStrategy(),) * 2)
@@ -863,9 +930,9 @@ def test_segments_stay_within_the_cache_limit_and_empty_with_rounds(
         before = len(prepared.rounds)
         _quiet_result(valuations, strategies, seed, None, prepared=prepared)
         clears += len(prepared.rounds) < before
-        stored = sum(segment[0] if segment else 1
-                     for segment in prepared.segments.values())
-        assert stored <= cap
+        stored = _stored_rounds(prepared)
+        assert stored == prepared.segment_rounds <= cap
+        assert prepared.open_ends.keys() <= prepared.segments.keys()
         assert prepared.segments.keys() <= prepared.rounds.keys()
         built += bool(_segments_of(prepared))
     assert built and clears
