@@ -108,11 +108,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if (args.valuation is None) == (args.json is None):
         raise ValueError("provide exactly one of: a valuation JSON file, --json")
-    if args.json is not None:
-        spec = json.loads(args.json)
-    else:
-        with open(args.valuation, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
+    try:
+        if args.json is not None:
+            spec = json.loads(args.json)
+        else:
+            with open(args.valuation, "r", encoding="utf-8") as handle:
+                spec = json.load(handle)
+    except RecursionError:
+        raise ValueError("valuation JSON nested too deeply") from None
     valuation = valuation_from_spec(spec)
     report = degree_of_submodularity(valuation)
     out = {"universe_size": valuation.universe_size}

@@ -109,20 +109,27 @@ def _settle(
     steps: Sequence[tuple],
     choose: Callable[[tuple[int, ...]], int],
     draws: list[Draw] | None,
-) -> None:
+) -> bool:
     """Apply a plan's steps: raise each item's price one step and move it,
     in place. A sole demander wins outright; `choose(cands)` picks the
     winner only when two or more bidders contest an item. Draws are
-    appended to `draws` when it is a list.
+    appended to `draws` when it is a list. Returns whether `choose` was
+    called, that is whether the round drew.
     """
+    drew = False
     for j, low, cands, holder in steps:
         prices[j] += 1
-        winner = cands[0] if len(cands) == 1 else choose(cands)
+        if len(cands) == 1:
+            winner = cands[0]
+        else:
+            winner = choose(cands)
+            drew = True
         if holder >= 0:
             provisional[holder] ^= low
         provisional[winner] |= low
         if draws is not None:
             draws.append(Draw(j, cands, winner))
+    return drew
 
 
 def default_max_rounds(valuations: Sequence[Valuation]) -> int:
@@ -155,8 +162,7 @@ class PreparedBidders:
 
     rounds is the round cache: it maps a round-start state (holdings,
     prices, last round's bids or None when no rule reads a last bid) to
-    that round's (bids, plan, whether the plan contests an item). It exists
-    only when every rule is memoised.
+    that round's (bids, plan). It exists only when every rule is memoised.
     Then each bid is a function of (own set, prices, last bid minus own
     set), all read off the state, and the plan is a function of (bids,
     holdings), so one lookup stands for the whole round's proposing and
@@ -166,18 +172,14 @@ class PreparedBidders:
     all. A list with a scripted, callable or wrapped rule has rounds =
     None. Each cache is emptied at DECISION_CACHE_LIMIT entries.
 
-    segments maps a head state to the deterministic stretch that starts
-    there: at least 2 cached rounds, each demanding something and
-    contesting nothing, so none draws. A segment is (k, the k price
-    tuples, final holdings, final bids, per bidder its k own sets, per
-    bidder its k own bids); None marks a head whose stretch ends within 2
-    rounds at a contested or all-empty round. Segments are walked off the
-    round cache only at heads (see run_auction), so a stretch is stored
-    once, not once per round of it. A walk that ran off the cache keeps
-    the state it missed in open_ends, and the head is walked again once
-    the cache holds that state. The rounds segments span, a None counting
-    as one, are held under DECISION_CACHE_LIMIT by emptying segments when
-    a new one would pass it, and segments are emptied with rounds."""
+    segments maps a head state (see run_auction) to the deterministic
+    stretch a run played from there: at least 2 rounds, each demanding
+    something and drawing nothing. A segment is (k, the k price tuples,
+    final holdings, final bids, per bidder its k own sets, per bidder its
+    k own bids), copied off that run's histories. segment_rounds counts
+    the rounds segments span and stays within DECISION_CACHE_LIMIT: a
+    segment that would pass it empties segments first, and a stretch
+    longer than the limit is not stored."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -199,61 +201,7 @@ class PreparedBidders:
         self.rounds: dict | None = {} if None not in self.memos else None
         self.sightings: set[int] = set()
         self.segments: dict = {}
-        self.open_ends: dict = {}
         self.segment_rounds = 0
-
-    def _clear_segments(self) -> None:
-        """Empty the segments and the open ends of their walks."""
-        self.segments.clear()
-        self.open_ends.clear()
-        self.segment_rounds = 0
-
-    def _clear_rounds(self) -> None:
-        """Empty the round cache and the segments read off it."""
-        self.rounds.clear()
-        self._clear_segments()
-
-    def _segment(self, head: tuple) -> tuple | None:
-        """The segment starting at round-start state head, or None; walked
-        off the round cache and stored on first use, and walked again once
-        the cache holds the state a stored walk ran off at. A walk that
-        runs off the cache within 2 rounds stores nothing: the cache may
-        grow."""
-        rounds, reads_last_bid = self.rounds, self.reads_last_bid
-        if head in self.segments:
-            end = self.open_ends.get(head)
-            if end is None or end not in rounds:
-                return self.segments[head]
-            del self.open_ends[head]
-            self.segment_rounds -= self.segments.pop(head)[0]
-        state = head
-        price_steps, held_steps, bid_steps = [], [], []
-        while (cached := rounds.get(state)) is not None:
-            bids, (demanded, steps), drawn = cached
-            if drawn or not demanded:
-                break
-            prices, provisional = list(state[1]), list(state[0])
-            _settle(prices, provisional, steps, None, None)
-            state = (tuple(provisional), tuple(prices),
-                     bids if reads_last_bid else None)
-            held_steps.append(state[0])
-            price_steps.append(state[1])
-            bid_steps.append(bids)
-        else:  # ran off the cache, which may yet hold a longer stretch
-            if len(price_steps) < 2:
-                return None
-        k = len(price_steps)
-        segment = None if k < 2 else (
-            k, tuple(price_steps), held_steps[-1], bid_steps[-1],
-            tuple(zip(*held_steps)), tuple(zip(*bid_steps)))
-        size = max(k, 1)
-        if self.segment_rounds + size > DECISION_CACHE_LIMIT:
-            self._clear_segments()
-        self.segments[head] = segment
-        self.segment_rounds += size
-        if cached is None:  # the walk ran off the cache at state
-            self.open_ends[head] = state
-        return segment
 
 
 def run_auction(
@@ -294,14 +242,18 @@ def run_auction(
     with oracle.RationalityScan.update as the observer.
 
     A run with no observer and no trace jumps over deterministic stretches.
-    At a head -- round 0, or the state after a contested round or a round
-    the cache did not hold -- it takes the segment starting there (see
-    PreparedBidders). If its k rounds fit (t + k <= max_rounds), it sets
-    prices, holdings and last bids to the segment's final ones, extends
-    the histories, adds k to t and leaves the contexts as a cached round
-    does. Those rounds make no draw, so every outcome and byte is that of
-    running them; a segment that does not fit runs round by round and
-    diverges at the cold round.
+    A head is round 0 or the state after a round that drew. At a head the
+    run looks the state up in the prepared segments (see PreparedBidders).
+    If a segment is there and its k rounds fit (t + k <= max_rounds), it
+    sets prices, holdings and last bids to the segment's final ones,
+    extends the histories, adds k to t and leaves the contexts as a cached
+    round does. Those rounds make no draw, so every outcome and byte is
+    that of running them; a segment that does not fit runs round by round
+    and diverges at the cold round. If none is there, the run marks the
+    head. When the stretch from a marked head ends at a round that draws
+    or demands nothing, after k >= 2 rounds, the run stores the head's
+    segment, copied off its own histories. A run that diverges or raises
+    inside a stretch stores nothing.
 
     Raises as PreparedBidders does, ValueError for a seed that is not an
     int (None would seed from OS entropy) or a max_rounds that is not an
@@ -329,13 +281,14 @@ def run_auction(
     last_bid_bits = prepared.last_bid_bits
     rounds = prepared.rounds
     sightings = prepared.sightings
+    segments = prepared.segments
     reads_last_bid = prepared.reads_last_bid
     choose = random.Random(require_int("seed", seed)).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = (0,) * n
-    jumps = rounds is not None and observer is None and records is None
-    head = jumps
+    jumps = head = rounds is not None and observer is None and records is None
+    mark = None
 
     t = 0
     while True:
@@ -343,14 +296,12 @@ def run_auction(
         last_bids = bids
         if rounds is not None:
             state = (held, current_prices, last_bids if reads_last_bid else None)
-            cached = rounds.get(state)
-        else:
-            state = cached = None
-        if cached is not None:
-            bids, plan, drawn = cached
-            if head and not drawn:
-                segment = prepared._segment(state)
-                if segment is not None and t + segment[0] <= max_rounds:
+            if head:
+                head = False
+                segment = segments.get(state)
+                if segment is None:
+                    mark, marked_at = state, t
+                elif t + segment[0] <= max_rounds:
                     k, price_steps, held, bids, own_sets, own_bids = segment
                     prices[:] = price_steps[-1]
                     provisional[:] = held
@@ -359,11 +310,13 @@ def run_auction(
                         own_set_histories[i].extend(own_sets[i])
                         own_bid_histories[i].extend(own_bids[i])
                     t += k
-                    head = False
                     continue
-            head = jumps and drawn
+            cached = rounds.get(state)
         else:
-            head = jumps
+            state = cached = None
+        if cached is not None:
+            bids, plan = cached
+        else:
             price_sums = None
             proposed = []
             for i in bidders:
@@ -405,9 +358,8 @@ def run_auction(
                 sighting = hash(state)
                 if sighting in sightings:
                     if len(rounds) >= DECISION_CACHE_LIMIT:
-                        prepared._clear_rounds()
-                    rounds[state] = bids, plan, any(
-                        len(step[2]) > 1 for step in plan[1])
+                        rounds.clear()
+                    rounds[state] = bids, plan
                 else:
                     if len(sightings) >= DECISION_CACHE_LIMIT:
                         sightings.clear()
@@ -422,7 +374,20 @@ def run_auction(
             raise Divergence(max_rounds, partial)
 
         draws: list[Draw] | None = [] if records is not None else None
-        _settle(prices, provisional, steps, choose, draws)
+        drew = _settle(prices, provisional, steps, choose, draws)
+        if mark is not None and (drew or not demanded):
+            k = t - marked_at
+            if 2 <= k <= DECISION_CACHE_LIMIT:
+                if prepared.segment_rounds + k > DECISION_CACHE_LIMIT:
+                    segments.clear()
+                    prepared.segment_rounds = 0
+                segments[mark] = (
+                    k, tuple(price_history[-k:]), held, last_bids,
+                    tuple(tuple(h[-k:]) for h in own_set_histories),
+                    tuple(tuple(h[-k:]) for h in own_bid_histories))
+                prepared.segment_rounds += k
+            mark = None
+        head = jumps and drew
         new_prices = tuple(prices)
         held = tuple(provisional)
         if records is not None:
@@ -507,22 +472,30 @@ def _draw(d) -> Draw:
                 _int(d["chosen"]))
 
 
+def _numbered_lines(file: IO[str]):
+    try:
+        yield from enumerate(file)
+    except UnicodeDecodeError as exc:
+        raise TraceMismatch(f"trace is not UTF-8 ({exc})") from None
+
+
 def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
     """Parse a trace written by write_trace_jsonl back into records. A
     malformed line raises TraceMismatch, as does a key outside the trace
     schema (in a round or a draw), an item list naming an item twice, or a round number, price
-    or draw entry that is not an int (a bool included)."""
+    or draw entry that is not an int (a bool included). So do a trace
+    that is not UTF-8 and JSON nested too deeply to parse."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8") as handle:
             return read_trace_jsonl(handle)
     records = []
-    for line_no, line in enumerate(file):
+    for line_no, line in _numbered_lines(file):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceMismatch(f"trace line {line_no}: bad JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise TraceMismatch(f"trace line {line_no}: not a JSON object")

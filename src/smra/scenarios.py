@@ -168,7 +168,11 @@ def scenario_from_spec(spec: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_spec(json.load(handle))
+        try:
+            spec = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return scenario_from_spec(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,37 @@ def test_replay_rejects_malformed_trace_lines(capsys, tmp_path, line):
     assert "trace line 0" in err
 
 
+def test_replay_rejects_a_trace_that_is_not_utf8(capsys, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b'{"t": 0, "bids": ["\xff"]}\n')
+    code, _, err = run_cli(capsys, "replay", str(trace))
+    assert code == 4
+    assert "not UTF-8" in err
+
+
+# deeper than the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, code", [
+    ("replay", 4), ("run", 2), ("analyze", 2), ("analyze --json", 2),
+])
+def test_deeply_nested_json_exits_with_a_documented_code(
+        capsys, tmp_path, command, code):
+    path = tmp_path / "input.json"
+    path.write_text(DEEP_JSON + "\n")
+    argv = {
+        "replay": ["replay", str(path)],
+        "run": ["run", "--scenario", str(path)],
+        "analyze": ["analyze", str(path)],
+        "analyze --json": ["analyze", "--json", DEEP_JSON],
+    }[command]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert "nested too deeply" in err or "recursion depth" in err
+
+
 def test_replay_missing_file(capsys):
     code, _, _ = run_cli(capsys, "replay", "/nonexistent/trace.jsonl")
     assert code == 2

@@ -1,10 +1,11 @@
 """Every imported name in the package and its tests is used, every
-private module-level name in the package is referenced somewhere in it,
-and only errors.require_int tests whether a value is an int.
+private module-level name and private method in the package is
+referenced somewhere in it, and only errors.require_int tests whether a
+value is an int.
 
 No linter ships with the project, so these scans are the guard: an import
-that nothing references fails here, and so does a `_name` function, class
-or constant that no module of the package uses any more, or a
+that nothing references fails here, and so does a `_name` function, class,
+constant or method that no module of the package uses any more, or a
 `type(x) is int` or `isinstance(x, bool)` test outside errors.py. The
 package's __init__.py is exempt from the import scan, since its imports
 are the public re-exports.
@@ -52,11 +53,15 @@ def test_no_unused_imports(path):
 
 
 def private_definitions(source: str) -> set[str]:
-    """Module-level `_name` functions, classes and assigned constants."""
+    """Module-level `_name` functions, classes and assigned constants, and
+    `_name` methods of module-level classes."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body if isinstance(
+                item, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -88,9 +93,12 @@ def test_scan_sees_an_orphaned_private_name():
     sources = {
         "a.py": "_LIMIT = 3\n_kept: int = 0\ndef _orphan(): pass\n"
                 "class _Gone: pass\ndef public(): return _helper(_LIMIT)\n",
-        "b.py": "from a import _kept\ndef _helper(x): return x\n",
+        "b.py": "from a import _kept\ndef _helper(x): return x\n"
+                "class Cache:\n    def __init__(self): self._fill()\n"
+                "    def _fill(self): pass\n    def _stale(self): pass\n",
     }
-    assert orphaned_private_names(sources) == ["_Gone (a.py)", "_orphan (a.py)"]
+    assert orphaned_private_names(sources) == [
+        "_Gone (a.py)", "_orphan (a.py)", "_stale (b.py)"]
 
 
 def test_no_orphaned_private_names():

@@ -731,6 +731,12 @@ def test_read_trace_rejects_malformed_lines():
             read_trace_jsonl(lines)
 
 
+def test_read_trace_rejects_text_that_is_not_utf8():
+    raw = (json.dumps(GOOD_LINE) + "\n").encode() + b'{"t": "\xff"}\n'
+    with pytest.raises(TraceMismatch, match="not UTF-8"):
+        read_trace_jsonl(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+
+
 def test_incomplete_trace_is_not_terminal():
     outcome, _ = _bad_pair_outcome(7)
     result = replay_trace(outcome.records[:-1])

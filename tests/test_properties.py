@@ -768,8 +768,8 @@ def _counting_settles(monkeypatch):
 
 
 def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
-    # a 10k-trial pass settles 20,870 of its 747,744 rounds (segment walks
-    # included); without segments it settles every round
+    # a 10k-trial pass settles 20,290 of its 747,744 rounds; without
+    # segments it settles every round
     settles = _counting_settles(monkeypatch)
     stats = run_trials(build_bad_pair(100), 2000, 123, collect_lambda=False)
     assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
@@ -779,9 +779,11 @@ def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
 # Segments: a jump over a deterministic stretch lands where the rounds would
 
 
-def _segments_of(prepared):
-    """The stored segments, without the stored absences."""
-    return [segment for segment in prepared.segments.values() if segment]
+class _Unkept(dict):
+    """A segment store that keeps nothing, so a run never jumps."""
+
+    def __setitem__(self, head, segment):
+        pass
 
 
 def _quiet_result(valuations, strategies, seed, cap, **options):
@@ -802,10 +804,12 @@ def test_a_warm_segment_cache_gives_the_cold_rows(monkeypatch, build):
     run_trials(warm, 300, 1, collect_lambda=False)
     got = run_trials(warm, 300, 2, collect_lambda=False)
     if warm.name == "bad_pair":
-        assert _segments_of(warm.prepared)
+        assert warm.prepared.segments
     # cold: a fresh scenario that never jumps
-    monkeypatch.setattr(PreparedBidders, "_segment", lambda self, head: None)
-    assert got == run_trials(build(), 300, 2, collect_lambda=False)
+    cold = build()
+    monkeypatch.setattr(cold.prepared, "segments", _Unkept())
+    assert got == run_trials(cold, 300, 2, collect_lambda=False)
+    assert not cold.prepared.segments
 
 
 def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
@@ -814,7 +818,7 @@ def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
     warm = PreparedBidders(valuations, strategies)
     for seed in range(40):  # enough to cache every stretch in full
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
-    assert max(segment[0] for segment in _segments_of(warm)) > 40
+    assert max(segment[0] for segment in warm.segments.values()) > 40
     heads = set(warm.segments)
     for seed in range(40, 45):
         for cap in range(0, 100, 3):
@@ -827,14 +831,13 @@ def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
 
 
 def _stored_rounds(prepared):
-    return sum(segment[0] if segment else 1
-               for segment in prepared.segments.values())
+    return sum(segment[0] for segment in prepared.segments.values())
 
 
-def test_a_segment_cut_by_a_cache_miss_is_walked_again_once_cached():
-    # capped runs cache a stretch only in part, so the walk from its head
-    # (2, 1) runs off the cache; once the rest is cached, that head must
-    # hold the whole stretch, as long as its mirror (1, 2)
+def test_a_stretch_cut_by_a_cap_is_stored_whole_by_a_later_run():
+    # capped runs stop inside the stretch from head (2, 1) and store none
+    # of it; later uncapped runs must store it whole, as long as its
+    # mirror (1, 2)
     scenario = build_bad_pair(100)
     valuations, strategies = scenario.valuations, scenario.strategies
     warm = PreparedBidders(valuations, strategies)
@@ -847,37 +850,107 @@ def test_a_segment_cut_by_a_cache_miss_is_walked_again_once_cached():
                              prepared=warm) == (
             _quiet_result(cold.valuations, cold.strategies, seed, cap))
         assert warm.segment_rounds == _stored_rounds(warm)
-        assert warm.open_ends.keys() <= warm.segments.keys()
-    lengths = {head[0]: segment[0]
-               for head, segment in warm.segments.items() if segment}
+    lengths = {head[0]: segment[0] for head, segment in warm.segments.items()}
     assert lengths[(2, 1)] == lengths[(1, 2)] == 97
-    assert not warm.open_ends
 
 
-def test_a_segment_walk_stops_at_a_contested_round_or_a_cache_miss():
-    valuations = (AdditiveValuation((5, 5, 5)),) * 2
-    prepared = PreparedBidders(valuations, (TruthfulStrategy(),) * 2)
-    # two uncontested rounds, then both bidders want the unheld item 2
-    states = [((0, 0), (0, 0, 0), None), ((1, 2), (1, 1, 0), None),
-              ((2, 1), (2, 2, 0), None)]
-    for state, bids in zip(states, [(0b001, 0b010), (0b010, 0b001),
-                                    (0b100, 0b100)]):
-        plan = mechanism._plan_round(bids, state[0], 3)
-        prepared.rounds[state] = bids, plan, len(plan[1][0][2]) > 1
-    k, price_steps, held, bids, own_sets, own_bids = prepared._segment(
-        states[0])
-    assert (k, price_steps, held, bids) == (
-        2, ((1, 1, 0), (2, 2, 0)), (2, 1), (0b010, 0b001))
-    assert own_sets == ((1, 2), (2, 1))
-    assert own_bids == ((0b001, 0b010), (0b010, 0b001))
-    # one round before the contested one: remembered as no segment
-    assert prepared._segment(states[1]) is None
-    assert prepared.segments[states[1]] is None
-    # one round before a miss: nothing stored, the cache may grow
-    del prepared.rounds[states[2]]
-    prepared.segments.clear()
-    assert prepared._segment(states[1]) is None
-    assert not prepared.segments
+def _complement_pair():
+    # items 0 and 1 are worth 10 together and item 2 is worth 5 with
+    # either: a split swaps 0 and 1 until both bidders turn to item 2 in
+    # the same round, and a sweep passes the pair back and forth until
+    # nobody bids
+    valuation = TableValuation((0, 1, 1, 10, 1, 5, 5, 10))
+    return (valuation,) * 2, (TruthfulStrategy(),) * 2
+
+
+def _traced_stretches(records, reads_last_bid):
+    """(end round, head state, segment) for every stretch of at least 2
+    rounds in a trace: the rounds from a head (round 0 or the round after
+    a draw) up to the first round that draws or demands nothing, which
+    ends it."""
+    n = len(records[0].bids)
+    stretches, head = [], 0
+    for end, record in enumerate(records):
+        if record.excess and all(len(d.candidates) == 1
+                                 for d in record.draws):
+            continue
+        played = records[head:end]
+        if len(played) >= 2:
+            before = records[head - 1] if head else None
+            state = (before.provisional if before else (0,) * n,
+                     played[0].prices_before,
+                     (before.bids if before else (0,) * n)
+                     if reads_last_bid else None)
+            stretches.append((end, state, (
+                len(played), tuple(r.prices_after for r in played),
+                played[-1].provisional, played[-1].bids,
+                tuple(zip(*(r.provisional for r in played))),
+                tuple(zip(*(r.bids for r in played))))))
+        head = end + 1
+    return stretches
+
+
+def _stored_by_a_fresh_run(valuations, strategies, seed, cap=None):
+    """The segments a fresh PreparedBidders holds after one quiet run."""
+    fresh = PreparedBidders(valuations, strategies)
+    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
+    assert fresh.segment_rounds == _stored_rounds(fresh)
+    return fresh.segments
+
+
+@pytest.mark.parametrize("bidders", [
+    _complement_pair, _previous_bid_bidders,
+    _scenario_bidders(lambda: build_bad_pair(10)),
+], ids=["complement_pair", "previous", "bad_pair_10"])
+def test_a_run_stores_each_stretch_it_plays_up_to_a_draw_or_the_end(bidders):
+    valuations, strategies = bidders()
+    reads_last_bid = PreparedBidders(valuations, strategies).reads_last_bid
+    ends = set()
+    for seed in range(20):
+        records = run_auction(valuations, strategies, seed).records
+        expected = {}
+        for end, head, segment in _traced_stretches(records, reads_last_bid):
+            expected[head] = segment
+            ends.add("empty" if not records[end].excess else "draw")
+        assert _stored_by_a_fresh_run(valuations, strategies, seed) == expected
+    if bidders is _complement_pair:
+        assert ends == {"draw", "empty"}
+
+
+@pytest.mark.parametrize("bidders", [
+    _complement_pair, _scenario_bidders(lambda: build_bad_pair(100)),
+], ids=["complement_pair", "bad_pair_100"])
+def test_a_run_capped_inside_a_stretch_stores_nothing_of_it(bidders):
+    valuations, strategies = bidders()
+    for seed in range(4):
+        records = run_auction(valuations, strategies, seed).records
+        stretches = _traced_stretches(records, False)
+        for cap in range(len(records) + 1):
+            # a stretch is stored once the round that ends it settles
+            expected = {
+                head: segment for end, head, segment in stretches
+                if end < cap or (end == cap and not records[end].excess)}
+            assert _stored_by_a_fresh_run(
+                valuations, strategies, seed, cap) == expected
+
+
+@pytest.mark.parametrize("limit", [47, 48, 96, 97])
+def test_a_stretch_longer_than_the_cache_limit_is_not_stored(
+        monkeypatch, limit):
+    monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", limit)
+    scenario = build_bad_pair(100)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    lengths = set()
+    for seed in range(10):
+        records = run_auction(valuations, strategies, seed).records
+        expected = {head: segment for _, head, segment
+                    in _traced_stretches(records, False)
+                    if segment[0] <= limit}
+        stored = _stored_by_a_fresh_run(valuations, strategies, seed)
+        assert stored == expected
+        lengths.update(segment[0] for segment in stored.values())
+    # one stretch an auction, split (97 rounds) or sweep (48 rounds)
+    assert lengths == {k for k in (48, 97) if k <= limit}
 
 
 def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
@@ -885,7 +958,7 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
     warm = PreparedBidders(valuations, strategies)
     for seed in range(40):
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
-    segments = _segments_of(warm)
+    segments = list(warm.segments.values())
     assert segments
     # forget every decision and the round after each segment, so the
     # round a jump lands on asks the rules again
@@ -925,17 +998,14 @@ def test_segments_stay_within_the_cache_limit_and_empty_with_rounds(
     monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
     valuations, strategies = bidders()
     prepared = PreparedBidders(valuations, strategies)
-    built = clears = 0
+    built = evictions = 0
     for seed in range(300):
-        before = len(prepared.rounds)
+        heads = set(prepared.segments)
         _quiet_result(valuations, strategies, seed, None, prepared=prepared)
-        clears += len(prepared.rounds) < before
-        stored = _stored_rounds(prepared)
-        assert stored == prepared.segment_rounds <= cap
-        assert prepared.open_ends.keys() <= prepared.segments.keys()
-        assert prepared.segments.keys() <= prepared.rounds.keys()
-        built += bool(_segments_of(prepared))
-    assert built and clears
+        evictions += not heads <= prepared.segments.keys()
+        assert _stored_rounds(prepared) == prepared.segment_rounds <= cap
+        built += bool(prepared.segments)
+    assert built and evictions
 
 
 @pytest.mark.parametrize("observed", [False, True],
@@ -947,7 +1017,7 @@ def test_a_traced_or_observed_run_never_jumps(monkeypatch, observed):
     for seed in range(20):
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
     segments = dict(warm.segments)
-    assert _segments_of(warm)
+    assert segments
     settles = _counting_settles(monkeypatch)
     for seed in range(20, 30):
         cold = build_bad_pair(100)
