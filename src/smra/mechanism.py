@@ -149,6 +149,28 @@ def masked_price_sums(prices: Sequence[int], m: int) -> list[int]:
     return sums
 
 
+class _Column(Sequence):
+    """Bidder i's column of a list of per-round rows: a live, read-only
+    history view, O(1) to build."""
+
+    __slots__ = ("_rows", "_i")
+
+    def __init__(self, rows: list[tuple[int, ...]], i: int):
+        self._rows, self._i = rows, i
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, t):
+        if type(t) is slice:
+            return [row[self._i] for row in self._rows[t]]
+        return self._rows[t][self._i]
+
+    def __iter__(self):
+        i = self._i
+        return (row[i] for row in self._rows)
+
+
 class PreparedBidders:
     """run_auction's setup of one bidder list and the owner of its caches,
     shared by its auctions in one process (a Scenario keeps one for its
@@ -174,10 +196,10 @@ class PreparedBidders:
 
     segments maps a head state (see run_auction) to the deterministic
     stretch a run played from there: at least 2 rounds, each demanding
-    something and drawing nothing. A segment is (k, the k price tuples,
-    final holdings, final bids, per bidder its k own sets, per bidder its
-    k own bids), copied off that run's histories. segment_rounds counts
-    the rounds segments span and stays within DECISION_CACHE_LIMIT: a
+    something and drawing nothing. A segment is (k, price rows, holding
+    rows, bid rows): the last k rows of that run's three histories, so
+    its last holding and bid rows are where a jump lands. segment_rounds
+    counts the rounds segments span and stays within DECISION_CACHE_LIMIT: a
     segment that would pass it empties segments first, and a stretch
     longer than the limit is not stored."""
 
@@ -226,7 +248,9 @@ def run_auction(
     its first propose and refreshed on each later one; the price table is
     built once per round, on the first bidder that misses. The bids then
     go through _plan_round (the bid check) and _settle, which replay_trace
-    re-runs to check a trace.
+    re-runs to check a trace. The histories are three lists of one row per
+    settled round: prices, holdings entering it and bids. A context's own
+    histories are its bidder's columns of the last two, as views.
 
     When every rule is memoised, a round whose start state is in the
     prepared round cache (see PreparedBidders) takes its bids and plan
@@ -245,15 +269,15 @@ def run_auction(
     A head is round 0 or the state after a round that drew. At a head the
     run looks the state up in the prepared segments (see PreparedBidders).
     If a segment is there and its k rounds fit (t + k <= max_rounds), it
-    sets prices, holdings and last bids to the segment's final ones,
-    extends the histories, adds k to t and leaves the contexts as a cached
-    round does. Those rounds make no draw, so every outcome and byte is
-    that of running them; a segment that does not fit runs round by round
-    and diverges at the cold round. If none is there, the run marks the
-    head. When the stretch from a marked head ends at a round that draws
-    or demands nothing, after k >= 2 rounds, the run stores the head's
-    segment, copied off its own histories. A run that diverges or raises
-    inside a stretch stores nothing.
+    sets prices, holdings and last bids to the segment's last rows,
+    extends the three histories by its rows, adds k to t and leaves the
+    contexts as a cached round does. Those rounds make no draw, so every
+    outcome and byte is that of running them; a segment that does not fit
+    runs round by round and diverges at the cold round. If none is there,
+    the run marks the head. When the stretch from a marked head ends at a
+    round that draws or demands nothing, after k >= 2 rounds, the run
+    stores the head's segment, the last k rows of its own histories. A
+    run that diverges or raises inside a stretch stores nothing.
 
     Raises as PreparedBidders does, ValueError for a seed that is not an
     int (None would seed from OS entropy) or a max_rounds that is not an
@@ -273,8 +297,8 @@ def run_auction(
     provisional = [0] * n
     held = (0,) * n
     price_history: list[tuple[int, ...]] = [(0,) * m]
-    own_set_histories: list[list[int]] = [[0] for _ in range(n)]
-    own_bid_histories: list[list[int]] = [[] for _ in range(n)]
+    held_history: list[tuple[int, ...]] = [held]
+    bid_history: list[tuple[int, ...]] = []
     contexts: list[BidContext | None] = [None] * n
     proposers = prepared.proposers
     memos = prepared.memos
@@ -302,13 +326,13 @@ def run_auction(
                 if segment is None:
                     mark, marked_at = state, t
                 elif t + segment[0] <= max_rounds:
-                    k, price_steps, held, bids, own_sets, own_bids = segment
-                    prices[:] = price_steps[-1]
+                    k, price_rows, held_rows, bid_rows = segment
+                    prices[:] = price_rows[-1]
+                    held, bids = held_rows[-1], bid_rows[-1]
                     provisional[:] = held
-                    price_history.extend(price_steps)
-                    for i in bidders:
-                        own_set_histories[i].extend(own_sets[i])
-                        own_bid_histories[i].extend(own_bids[i])
+                    price_history.extend(price_rows)
+                    held_history.extend(held_rows)
+                    bid_history.extend(bid_rows)
                     t += k
                     continue
             cached = rounds.get(state)
@@ -336,8 +360,8 @@ def run_auction(
                     ctx = contexts[i] = BidContext(
                         bidder=i, valuation=valuations[i], t=t,
                         prices=current_prices, price_history=price_history,
-                        own_set=own, own_set_history=own_set_histories[i],
-                        own_bid_history=own_bid_histories[i], m=m,
+                        own_set=own, own_set_history=_Column(held_history, i),
+                        own_bid_history=_Column(bid_history, i), m=m,
                         value_table=prepared.value_tables[i],
                         price_sums=price_sums, popcounts=popcounts,
                     )
@@ -382,9 +406,8 @@ def run_auction(
                     segments.clear()
                     prepared.segment_rounds = 0
                 segments[mark] = (
-                    k, tuple(price_history[-k:]), held, last_bids,
-                    tuple(tuple(h[-k:]) for h in own_set_histories),
-                    tuple(tuple(h[-k:]) for h in own_bid_histories))
+                    k, tuple(price_history[-k:]), tuple(held_history[-k:]),
+                    tuple(bid_history[-k:]))
                 prepared.segment_rounds += k
             mark = None
         head = jumps and drew
@@ -409,9 +432,8 @@ def run_auction(
             )
 
         price_history.append(new_prices)
-        for i in bidders:
-            own_set_histories[i].append(provisional[i])
-            own_bid_histories[i].append(bids[i])
+        held_history.append(held)
+        bid_history.append(bids)
         if observer is not None:
             observer(t, new_prices, provisional)
         t += 1

@@ -185,14 +185,14 @@ def welfare(allocation: Sequence[int], valuations: Sequence[Valuation]) -> int:
         )
     seen = 0
     total = 0
-    for mask, v in zip(allocation, valuations):
-        if mask:
-            if mask & seen:
-                raise InvalidAllocation(
-                    f"item(s) {list(items_of(mask & seen))} assigned twice"
-                )
-            seen |= mask
-            total += v.value(mask)
+    for i in compress(range(len(allocation)), allocation):
+        mask = allocation[i]
+        if mask & seen:
+            raise InvalidAllocation(
+                f"item(s) {list(items_of(mask & seen))} assigned twice"
+            )
+        seen |= mask
+        total += valuations[i].value(mask)
     return total
 
 

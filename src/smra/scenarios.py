@@ -25,7 +25,7 @@ from math import inf
 from typing import Callable, IO, Optional, Sequence, Union
 
 from .errors import Divergence, InvalidPartition, UniverseMismatch, require_int
-from .itemsets import full_mask, items_of, mask_of, mask_size
+from .itemsets import full_mask, items_of, mask_of
 from .mechanism import PreparedBidders, run_auction, write_trace_jsonl
 from .oracle import RationalityScan, optimal_welfare, welfare
 from .strategies import (
@@ -184,8 +184,9 @@ def _ev_welfare_equals(target: int, outcome, welfare_value: int) -> bool:
 
 
 def _ev_distinct_winners(outcome, welfare_value: int) -> bool:
-    sizes = [mask_size(a) for a in outcome.allocation]
-    return max(sizes) <= 1 and sum(sizes) == len(outcome.prices)
+    held, m = outcome.allocation, len(outcome.prices)
+    return (len(held) - held.count(0) == m
+            and sum(map(int.bit_count, held)) == m)
 
 
 def _ev_first_n_empty(n: int, outcome, welfare_value: int) -> bool:

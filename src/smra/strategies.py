@@ -41,7 +41,10 @@ class BidContext:
     mask-indexed lookup tables (worth of every bundle; posted price of
     every bundle; bundle sizes). The runner always supplies them, and
     every rule prices bundles through them alone. The history sequences
-    are live views shared with the runner and must not be mutated.
+    are live: they grow as rounds settle. price_history is the runner's
+    list and must not be mutated; the two own histories are read-only
+    views of this bidder's column of the runner's per-round holding and
+    bid rows (len, int and slice indexing, iteration; a slice is a list).
 
     The runner builds a bidder's context on its first propose, with full
     histories whatever the round, and refreshes it on each later propose.

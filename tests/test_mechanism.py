@@ -25,6 +25,7 @@ from smra import (
     TruthfulStrategy,
     UniverseMismatch,
     masked_price_sums,
+    random_near_submodular,
     read_trace_jsonl,
     replay_trace,
     run_auction,
@@ -417,6 +418,48 @@ def test_contexts_built_after_round_0_see_full_histories(monkeypatch):
         assert own_sets == (0,) + tuple(r.provisional[i] for r in done)
         assert own_bids == tuple(r.bids[i] for r in done)
         assert (current, own) == (prices[-1], own_sets[-1])
+
+
+def _view_reads(view):
+    size = len(view)
+    return (size, view[-1] if size else None,
+            [view[t] for t in range(-size, size)],
+            [view[1:], view[:-1], view[::2], view[-2:], view[:]], list(view))
+
+
+def test_history_views_read_the_rows_off_the_records():
+    # custom rules are asked every round, so every context is checked
+    asked = []
+
+    def viewing(rule):
+        def propose(ctx):
+            views = ctx.own_set_history, ctx.own_bid_history
+            asked.append((ctx.bidder, ctx.t, views,
+                          [_view_reads(v) for v in views]))
+            return rule.propose(ctx)
+        return CallableStrategy(propose)
+
+    rules = (TruthfulStrategy(), LocallyOptimalStrategy("previous")) * 2
+    bidders = tuple(viewing(rule) for rule in rules)
+    for seed in range(8):
+        valuations = tuple(random_near_submodular(3, 2, 12, seed * 4 + i)
+                           for i in range(4))
+        del asked[:]
+        outcome = run_auction(valuations, bidders, seed)
+        records = outcome.records
+        assert max(t for _, t, _, _ in asked) == outcome.rounds >= 2
+        for i, t, views, reads in asked:
+            own_sets = [0] + [r.provisional[i] for r in records[:t]]
+            own_bids = [r.bids[i] for r in records[:t]]
+            assert reads == [_view_reads(own_sets), _view_reads(own_bids)]
+            # live: a view from any round reads every settled round now
+            assert [len(v) for v in views] == [outcome.rounds + 1,
+                                               outcome.rounds]
+            for view in views:
+                assert not hasattr(view, "append")
+                assert not hasattr(view, "__setitem__")
+                with pytest.raises(TypeError):
+                    view[0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -883,9 +883,8 @@ def _traced_stretches(records, reads_last_bid):
                      if reads_last_bid else None)
             stretches.append((end, state, (
                 len(played), tuple(r.prices_after for r in played),
-                played[-1].provisional, played[-1].bids,
-                tuple(zip(*(r.provisional for r in played))),
-                tuple(zip(*(r.bids for r in played))))))
+                tuple(r.provisional for r in played),
+                tuple(r.bids for r in played))))
         head = end + 1
     return stretches
 
@@ -964,8 +963,8 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
     # round a jump lands on asks the rules again
     for memo in warm.memos:
         memo.clear()
-    for _, price_steps, held, bids, _, _ in segments:
-        warm.rounds.pop((held, price_steps[-1], bids), None)
+    for _, price_rows, held_rows, bid_rows in segments:
+        warm.rounds.pop((held_rows[-1], price_rows[-1], bid_rows[-1]), None)
     seen = []
 
     def spy(i, propose):
@@ -993,7 +992,7 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
     (_previous_bid_bidders, 6), (_previous_bid_bidders, 16),
     (_scenario_bidders(lambda: build_bad_pair(100)), 60),
 ], ids=["previous_6", "previous_16", "bad_pair_60"])
-def test_segments_stay_within_the_cache_limit_and_empty_with_rounds(
+def test_segments_stay_within_the_cache_limit(
         monkeypatch, bidders, cap):
     monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
     valuations, strategies = bidders()
