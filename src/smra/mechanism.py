@@ -31,9 +31,9 @@ from .itemsets import items_of, mask_of, popcount_table
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
-# Entries a PreparedBidders keeps per decision memo, round cache and
-# sightings set, and rounds it keeps in segments; a full cache is emptied,
-# so memory stays bounded.
+# Entries a PreparedBidders keeps per decision memo and in its sightings
+# set, and rounds its segments span (k + 1 a segment); a full store is
+# emptied, so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
 
@@ -182,26 +182,22 @@ class PreparedBidders:
     and one dict serves all bidders with one valuation object and equal
     rules.
 
-    rounds is the round cache: it maps a round-start state (holdings,
-    prices, last round's bids or None when no rule reads a last bid) to
-    that round's (bids, plan). It exists only when every rule is memoised.
-    Then each bid is a function of (own set, prices, last bid minus own
-    set), all read off the state, and the plan is a function of (bids,
-    holdings), so one lookup stands for the whole round's proposing and
-    planning. A state is admitted on its second sighting, tracked in the
-    sightings set of state hashes: no state recurs within one auction
-    (every round but the last raises a price), and many never recur at
-    all. A list with a scripted, callable or wrapped rule has rounds =
-    None. Each cache is emptied at DECISION_CACHE_LIMIT entries.
-
-    segments maps a head state (see run_auction) to the deterministic
-    stretch a run played from there: at least 2 rounds, each demanding
-    something and drawing nothing. A segment is (k, price rows, holding
-    rows, bid rows): the last k rows of that run's three histories, so
-    its last holding and bid rows are where a jump lands. segment_rounds
-    counts the rounds segments span and stays within DECISION_CACHE_LIMIT: a
-    segment that would pass it empties segments first, and a stretch
-    longer than the limit is not stored."""
+    segments is the transition store, None when some rule is not
+    memoised. Then each bid is a function of (own set, prices, last bid
+    minus own set), and a plan of (bids, holdings), so a round is a
+    function of its start state: (holdings, prices, last round's bids or
+    None when no rule reads a last bid). segments maps a head state (see
+    run_auction) to the stretch a run played from there: (k, price rows,
+    holding rows, bid rows, (tail bids, tail plan)). The k >= 0 rows are
+    the last k of that run's three histories, rounds that each demand
+    something and draw nothing. The tail is the round that ends the
+    stretch, drawing or demanding nothing. A head is admitted on its
+    second sighting, tracked in the sightings set of state hashes: no
+    state recurs within one auction (every round but the last raises a
+    price), and many heads never recur at all. segment_rounds counts k + 1
+    per segment and stays within DECISION_CACHE_LIMIT: a segment that
+    would pass it empties segments first, and one longer than the limit
+    is not stored. The sightings set is emptied at the same limit."""
 
     def __init__(self, valuations: Sequence[Valuation],
                  strategies: Sequence[Strategy]):
@@ -220,9 +216,8 @@ class PreparedBidders:
         self.proposers = [s.propose for s in strategies]
         self.max_rounds = default_max_rounds(valuations)
         self.reads_last_bid = any(self.last_bid_bits)
-        self.rounds: dict | None = {} if None not in self.memos else None
         self.sightings: set[int] = set()
-        self.segments: dict = {}
+        self.segments: dict | None = {} if None not in self.memos else None
         self.segment_rounds = 0
 
 
@@ -233,7 +228,8 @@ def run_auction(
     *,
     max_rounds: int | None = None,
     record_trace: bool = True,
-    observer: Callable[[int, tuple[int, ...], list[int]], None] | None = None,
+    observer: (Callable[[int, tuple[int, ...], tuple[int, ...]], None]
+               | None) = None,
     prepared: PreparedBidders | None = None,
 ) -> AuctionOutcome:
     """Run a full auction to termination.
@@ -252,32 +248,28 @@ def run_auction(
     settled round: prices, holdings entering it and bids. A context's own
     histories are its bidder's columns of the last two, as views.
 
-    When every rule is memoised, a round whose start state is in the
-    prepared round cache (see PreparedBidders) takes its bids and plan
-    from there, with no propose, memo lookup or bid check, and leaves the
-    contexts as they are. The draws, the max_rounds check, the record,
-    the histories and the observer are the same on every round, cached or
-    not. Exceptions are never remembered, so a round whose bids or plan
-    raise is never cached.
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
-    settled round with (t, prices_after, provisional_masks); the masks
-    list is live and must not be mutated. run_trials measures λ this way,
-    with oracle.RationalityScan.update as the observer.
+    settled round with (t, prices_after, holdings), the holdings a tuple
+    of masks. run_trials measures λ this way, with
+    oracle.RationalityScan.update as the observer.
 
-    A run with no observer and no trace jumps over deterministic stretches.
-    A head is round 0 or the state after a round that drew. At a head the
-    run looks the state up in the prepared segments (see PreparedBidders).
-    If a segment is there and its k rounds fit (t + k <= max_rounds), it
-    sets prices, holdings and last bids to the segment's last rows,
-    extends the three histories by its rows, adds k to t and leaves the
-    contexts as a cached round does. Those rounds make no draw, so every
-    outcome and byte is that of running them; a segment that does not fit
-    runs round by round and diverges at the cold round. If none is there,
-    the run marks the head. When the stretch from a marked head ends at a
-    round that draws or demands nothing, after k >= 2 rounds, the run
-    stores the head's segment, the last k rows of its own histories. A
-    run that diverges or raises inside a stretch stores nothing.
+    An untraced run of memoised rules jumps over deterministic stretches.
+    A head is round 0 or the round after one that drew. At a head the run
+    looks its start state up in the prepared segments (see
+    PreparedBidders). If a segment is there and its k rounds fit (t + k <=
+    max_rounds), the run calls the observer for each jumped round j with
+    (t + j, price_rows[j], holding_rows[j]), as running it would, extends
+    the three histories by the rows, moves to their last state and round
+    t + k, and settles the tail's plan with its own draws: no propose, memo
+    lookup or bid check, and the contexts are left as they were. The tail
+    draws or ends the auction, so the next round is a head again. Jumped
+    rounds make no draw, so every outcome and byte is that of running
+    them; a segment that does not fit runs round by round and diverges at
+    the cold round. A head not found is sighted, or marked on its second
+    sighting; when the tail of a marked stretch settles, the run stores
+    its segment from its own histories. A run that diverges or raises
+    inside a stretch stores nothing.
 
     Raises as PreparedBidders does, ValueError for a seed that is not an
     int (None would seed from OS entropy) or a max_rounds that is not an
@@ -303,7 +295,6 @@ def run_auction(
     proposers = prepared.proposers
     memos = prepared.memos
     last_bid_bits = prepared.last_bid_bits
-    rounds = prepared.rounds
     sightings = prepared.sightings
     segments = prepared.segments
     reads_last_bid = prepared.reads_last_bid
@@ -311,36 +302,38 @@ def run_auction(
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = (0,) * n
-    jumps = head = rounds is not None and observer is None and records is None
+    jumps = head = segments is not None and records is None
     mark = None
 
     t = 0
     while True:
         current_prices = price_history[-1]
         last_bids = bids
-        if rounds is not None:
+        plan = None
+        if head:
+            head = False
             state = (held, current_prices, last_bids if reads_last_bid else None)
-            if head:
-                head = False
-                segment = segments.get(state)
-                if segment is None:
+            segment = segments.get(state)
+            if segment is None:
+                sighting = hash(state)
+                if sighting in sightings:
                     mark, marked_at = state, t
-                elif t + segment[0] <= max_rounds:
-                    k, price_rows, held_rows, bid_rows = segment
-                    prices[:] = price_rows[-1]
-                    held, bids = held_rows[-1], bid_rows[-1]
-                    provisional[:] = held
-                    price_history.extend(price_rows)
-                    held_history.extend(held_rows)
-                    bid_history.extend(bid_rows)
-                    t += k
-                    continue
-            cached = rounds.get(state)
-        else:
-            state = cached = None
-        if cached is not None:
-            bids, plan = cached
-        else:
+                else:
+                    if len(sightings) >= DECISION_CACHE_LIMIT:
+                        sightings.clear()
+                    sightings.add(sighting)
+            elif t + segment[0] <= max_rounds:
+                k, price_rows, held_rows, bid_rows, (bids, plan) = segment
+                if observer is not None:
+                    for j in range(k):
+                        observer(t + j, price_rows[j], held_rows[j])
+                price_history.extend(price_rows)
+                held_history.extend(held_rows)
+                bid_history.extend(bid_rows)
+                current_prices, held = price_history[-1], held_history[-1]
+                prices[:], provisional[:] = current_prices, held
+                t += k
+        if plan is None:
             price_sums = None
             proposed = []
             for i in bidders:
@@ -378,16 +371,6 @@ def run_auction(
                 proposed.append(bid)
             bids = tuple(proposed)
             plan = _plan_round(bids, held, m)
-            if state is not None:
-                sighting = hash(state)
-                if sighting in sightings:
-                    if len(rounds) >= DECISION_CACHE_LIMIT:
-                        rounds.clear()
-                    rounds[state] = bids, plan
-                else:
-                    if len(sightings) >= DECISION_CACHE_LIMIT:
-                        sightings.clear()
-                    sightings.add(sighting)
         demanded, steps = plan
         if demanded and t >= max_rounds:
             partial = AuctionOutcome(
@@ -400,15 +383,16 @@ def run_auction(
         draws: list[Draw] | None = [] if records is not None else None
         drew = _settle(prices, provisional, steps, choose, draws)
         if mark is not None and (drew or not demanded):
-            k = t - marked_at
-            if 2 <= k <= DECISION_CACHE_LIMIT:
-                if prepared.segment_rounds + k > DECISION_CACHE_LIMIT:
+            spanned = t - marked_at + 1
+            if spanned <= DECISION_CACHE_LIMIT:
+                if prepared.segment_rounds + spanned > DECISION_CACHE_LIMIT:
                     segments.clear()
                     prepared.segment_rounds = 0
                 segments[mark] = (
-                    k, tuple(price_history[-k:]), tuple(held_history[-k:]),
-                    tuple(bid_history[-k:]))
-                prepared.segment_rounds += k
+                    spanned - 1, tuple(price_history[marked_at + 1:]),
+                    tuple(held_history[marked_at + 1:]),
+                    tuple(bid_history[marked_at:]), (bids, plan))
+                prepared.segment_rounds += spanned
             mark = None
         head = jumps and drew
         new_prices = tuple(prices)
@@ -435,7 +419,7 @@ def run_auction(
         held_history.append(held)
         bid_history.append(bids)
         if observer is not None:
-            observer(t, new_prices, provisional)
+            observer(t, new_prices, held)
         t += 1
 
 
@@ -504,9 +488,10 @@ def _numbered_lines(file: IO[str]):
 def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
     """Parse a trace written by write_trace_jsonl back into records. A
     malformed line raises TraceMismatch, as does a key outside the trace
-    schema (in a round or a draw), an item list naming an item twice, or a round number, price
-    or draw entry that is not an int (a bool included). So do a trace
-    that is not UTF-8 and JSON nested too deeply to parse."""
+    schema (in a round or a draw), an item list naming an item twice, or
+    a round number, price or draw entry that is not an int (a bool
+    included). So do a trace that is not UTF-8 and JSON nested too deeply
+    to parse."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8") as handle:
             return read_trace_jsonl(handle)

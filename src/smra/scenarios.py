@@ -67,9 +67,9 @@ class TrialEvent:
 @dataclass(frozen=True)
 class Scenario:
     """A bidder list and its events. The valuations and strategies tuples
-    are built once, and prepared (their PreparedBidders: memos and round
-    cache) on first use, and each lasts as long as the scenario. A pickle
-    keeps only the fields, so each pool worker builds its own."""
+    are built once, and prepared (their PreparedBidders: memos and
+    segments) on first use, and each lasts as long as the scenario. A
+    pickle keeps only the fields, so each pool worker builds its own."""
 
     name: str
     m: int
@@ -701,13 +701,15 @@ def run_trials(
     (round budget exhausted) is recorded with its partial outcome and
     flagged, not fatal. trace_path writes the (single) trial's JSONL
     trace and therefore requires trials == 1. Before the oracle runs, a
-    trials or jobs that is not an int >= 1, a subset_cap that is not an
-    int >= 0 or a seed that is not an int (a bool is neither) raises
-    ValueError.
+    trials or jobs that is not an int >= 1, a subset_cap or a max_rounds
+    other than None that is not an int >= 0, or a seed that is not an int
+    (a bool is neither) raises ValueError.
     """
     for name, count, least in (("trials", trials, 1), ("jobs", jobs, 1),
                                ("subset_cap", subset_cap, 0), ("seed", seed, None)):
         require_int(name, count, least)
+    if max_rounds is not None:
+        require_int("max_rounds", max_rounds, 0)
     if trace_path is not None and trials != 1:
         raise ValueError("a trace can only be written for a single trial")
 

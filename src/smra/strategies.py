@@ -52,8 +52,10 @@ class BidContext:
     in the run's PreparedBidders, per valuation object and equal rule,
     keyed by (own set, prices) -- plus last round's bid minus the own set
     for local search from the previous bid -- so on a repeated key they
-    are not asked and their context is left as it was. Custom rules (CallableStrategy, wrappers, subclasses overriding
-    propose) and scripted bids are asked every round with a fresh context.
+    are not asked and their context is left as it was. Custom rules
+    (CallableStrategy, wrappers, subclasses overriding propose) and
+    scripted bids are asked every round, each time with their bidder's one
+    context refreshed.
     """
 
     bidder: int
@@ -312,9 +314,9 @@ class Strategy(ABC):
     a PreparedBidders: "state" is the own provisional set and the prices;
     "last_bid" adds last round's bid minus the own set (0 in round 0). The
     engine reuses a remembered bid only for the truthful, secure and
-    locally optimal rules' own propose. Every other rule -- scripted, CallableStrategy,
-    wrappers, and any subclass that overrides propose -- is asked every
-    round with a freshly refreshed BidContext.
+    locally optimal rules' own propose. Every other rule -- scripted,
+    CallableStrategy, wrappers, and any subclass that overrides propose --
+    is asked every round with a freshly refreshed BidContext.
     """
 
     kind: str = "abstract"

@@ -332,6 +332,17 @@ def test_negative_round_budget_is_rejected(capsys):
     assert out == "" and "max_rounds" in err
 
 
+def test_a_bad_round_budget_is_refused_before_the_oracle_budget(capsys):
+    # local_tight at n = 6 is over the oracle budget (exit 3), and the
+    # round budget is checked first
+    code, out, err = run_cli(
+        capsys, "run", "--builtin", "local_tight", "--n", "6",
+        "--max-rounds", "-1",
+    )
+    assert code == 2
+    assert out == "" and "max_rounds" in err
+
+
 def test_missing_scenario_file(capsys):
     code, _, _ = run_cli(capsys, "run", "--scenario", "/nonexistent.json")
     assert code == 2

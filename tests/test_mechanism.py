@@ -636,7 +636,7 @@ def test_a_scenario_reads_one_bidder_list_and_one_prepared_object():
         sc.valuations, sc.strategies)
     for seed in range(5):
         run_auction(sc.valuations, sc.strategies, seed, prepared=sc.prepared)
-    assert sc.prepared.sightings
+    assert sc.prepared.memos[0]
 
 
 def test_valuations_carry_no_engine_state():
@@ -666,7 +666,7 @@ def test_a_pool_run_after_a_serial_one_sends_no_caches():
         valuation.value_table()
     before = pickle.dumps(sc)
     serial = run_trials(sc, 40, seed=6, jobs=1)
-    assert sc.prepared.rounds
+    assert sc.prepared.segments
     pooled = run_trials(sc, 40, seed=6, jobs=2)
     assert pooled.rows == serial.rows
     assert pickle.dumps(sc) == before

@@ -619,18 +619,22 @@ def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, ca
     valuations, strategies = SETUP_CASES[case]()
     prepared = PreparedBidders(valuations, strategies)
     for seed in range(10):
-        # fresh objects: a new setup and empty decision memos every time
-        fresh = _auction_result(*SETUP_CASES[case](), seed)
-        assert _auction_result(
-            valuations, strategies, seed, prepared=prepared) == fresh
+        # fresh objects: a new setup and empty caches every time; a traced
+        # run fills the memos, a quiet one the segments
+        for record_trace in (True, False):
+            fresh = _auction_result(*SETUP_CASES[case](), seed,
+                                    record_trace=record_trace)
+            assert _auction_result(valuations, strategies, seed,
+                                   record_trace=record_trace,
+                                   prepared=prepared) == fresh
         if cap is not None:
             assert all(len(memo) <= cap for memo in prepared.memos if memo)
-            assert len(prepared.rounds) <= cap
+            assert prepared.segment_rounds <= cap
             assert len(prepared.sightings) <= cap
 
 
 # ---------------------------------------------------------------------------
-# The round cache: a warm PreparedBidders runs every round as a cold one
+# The transition store: a warm PreparedBidders runs every round as a cold one
 
 
 def _observed_run(valuations, strategies, seed, **options):
@@ -651,13 +655,15 @@ def _observed_run(valuations, strategies, seed, **options):
 
 
 def _warm(build, seeds=range(20)):
-    """A scenario's bidders and a PreparedBidders that has run `seeds`."""
+    """A scenario's bidders and a PreparedBidders whose segments hold what
+    untraced runs of `seeds` stored."""
     scenario = build()
     valuations, strategies = scenario.valuations, scenario.strategies
     prepared = PreparedBidders(valuations, strategies)
     for seed in seeds:
-        run_auction(valuations, strategies, seed, prepared=prepared)
-    assert prepared.rounds
+        run_auction(valuations, strategies, seed, record_trace=False,
+                    prepared=prepared)
+    assert prepared.segments
     return valuations, strategies, prepared
 
 
@@ -673,12 +679,16 @@ def _counting_plans(monkeypatch):
     lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
 ], ids=["bad_pair", "truthful_tight"])
 def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
+    # a warm observed run takes the bids and plans of its head rounds from
+    # the segments' tails
     valuations, strategies, warm = _warm(build)
-    # cold: fresh valuations, so empty decision memos and no round cache
-    expected = [_observed_run(build().valuations, build().strategies, seed)
+    # cold: fresh valuations, so empty decision memos and no segments
+    expected = [_observed_run(build().valuations, build().strategies, seed,
+                              record_trace=False)
                 for seed in range(20, 40)]
     plans = _counting_plans(monkeypatch)
-    got = [_observed_run(valuations, strategies, seed, prepared=warm)
+    got = [_observed_run(valuations, strategies, seed, record_trace=False,
+                         prepared=warm)
            for seed in range(20, 40)]
     assert got == expected
     assert len(plans) < sum(outcome.rounds + 1 for outcome, _, _ in got)
@@ -698,21 +708,31 @@ def test_the_round_cache_keys_on_last_bids_where_a_rule_reads_them():
     warm = PreparedBidders(valuations, strategies)
     for seed in range(30):
         assert _auction_result(valuations, strategies, seed,
-                               prepared=warm) == (
-            _auction_result(*_previous_bid_bidders(), seed))
-    assert warm.rounds
+                               record_trace=False, prepared=warm) == (
+            _auction_result(*_previous_bid_bidders(), seed,
+                            record_trace=False))
+    # some heads share holdings and prices and differ in last bids alone
+    starts = [(held, prices) for held, prices, last_bids in warm.segments]
+    assert len(set(starts)) < len(starts)
 
 
 def test_a_warm_round_cache_diverges_at_the_cold_round():
     valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
+    ends = set()
     for seed in range(20, 30):
-        cold = build_bad_pair(100)
-        expected = _observed_run(cold.valuations, cold.strategies, seed,
-                                 max_rounds=10)
-        got = _observed_run(valuations, strategies, seed, max_rounds=10,
-                            prepared=warm)
-        assert got == expected
-        assert got[0][0] == "diverged" and got[0][1].rounds == 10
+        # a 48-round stretch from round 1 fits a cap of 49 and a 97-round
+        # one does not
+        for cap in (0, 1, 10, 49, 60):
+            cold = build_bad_pair(100)
+            expected = _observed_run(cold.valuations, cold.strategies, seed,
+                                     max_rounds=cap, record_trace=False)
+            got = _observed_run(valuations, strategies, seed, max_rounds=cap,
+                                record_trace=False, prepared=warm)
+            assert got == expected
+            outcome = got[0][1] if type(got[0]) is tuple else got[0]
+            assert outcome.rounds <= cap
+            ends.add((cap, outcome.diverged))
+    assert (49, False) in ends and (49, True) in ends
 
 
 @pytest.mark.parametrize("other", [
@@ -722,33 +742,38 @@ def test_a_list_with_an_unmemoised_rule_has_no_round_cache(other):
     valuations = build_bad_pair(10).valuations
     strategies = (TruthfulStrategy(), other)
     prepared = PreparedBidders(valuations, strategies)
-    assert prepared.rounds is None
+    assert prepared.segments is None
     for seed in range(10):
         fresh = build_bad_pair(10).valuations
         assert _auction_result(valuations, strategies, seed,
-                               prepared=prepared) == (
-            _auction_result(fresh, strategies, seed))
-    assert prepared.rounds is None and not prepared.sightings
+                               record_trace=False, prepared=prepared) == (
+            _auction_result(fresh, strategies, seed, record_trace=False))
+    assert prepared.segments is None and not prepared.sightings
     if isinstance(other, CallableStrategy):
-        # a wrapped truthful rule bids as the cached truthful one
+        # a wrapped truthful rule bids as the stored truthful one
         warm_valuations, truthful, warm = _warm(lambda: build_bad_pair(10))
         assert truthful == (TruthfulStrategy(),) * 2
         for seed in range(10):
-            assert _auction_result(valuations, strategies, seed) == (
+            assert _auction_result(valuations, strategies, seed,
+                                   record_trace=False) == (
                 _auction_result(warm_valuations, truthful, seed,
-                                prepared=warm))
+                                record_trace=False, prepared=warm))
 
 
 def test_the_round_cache_admits_only_states_seen_twice():
-    # truthful_tight's round-1 states record which bidders won, and never
-    # recur: only the round-0 state is admitted
+    # truthful_tight's round-1 heads record which bidders won, and never
+    # recur: only round 0's head is admitted, as a round that draws
     scenario = build_truthful_tight(4, 3, 60)
     valuations, strategies = scenario.valuations, scenario.strategies
     prepared = PreparedBidders(valuations, strategies)
-    for seed in range(50):
+    run_auction(valuations, strategies, 0, record_trace=False,
+                prepared=prepared)
+    assert not prepared.segments and prepared.sightings
+    for seed in range(1, 50):
         run_auction(valuations, strategies, seed, record_trace=False,
                     prepared=prepared)
-    assert 1 <= len(prepared.rounds) <= 3
+    assert [segment[0] for segment in prepared.segments.values()] == [0]
+    assert prepared.segment_rounds == 1
 
 
 def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
@@ -768,11 +793,14 @@ def _counting_settles(monkeypatch):
 
 
 def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
-    # a 10k-trial pass settles 20,290 of its 747,744 rounds; without
-    # segments it settles every round
+    # a 10k-trial pass settles 20,580 of its 747,744 rounds, λ on or off;
+    # without segments it settles every round
     settles = _counting_settles(monkeypatch)
-    stats = run_trials(build_bad_pair(100), 2000, 123, collect_lambda=False)
-    assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
+    for collect_lambda in (False, True):
+        del settles[:]
+        stats = run_trials(build_bad_pair(100), 2000, 123,
+                           collect_lambda=collect_lambda)
+        assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -795,20 +823,29 @@ def _quiet_result(valuations, strategies, seed, cap, **options):
         return "diverged", exc.outcome
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_bad_pair(100), lambda: build_bad_pair(10),
-    lambda: build_truthful_tight(4, 3, 6), lambda: build_local_tight(L=3),
-], ids=["bad_pair_100", "bad_pair_10", "truthful_tight", "local_tight"])
-def test_a_warm_segment_cache_gives_the_cold_rows(monkeypatch, build):
+WARM_BUILDS = {
+    "bad_pair_100": lambda: build_bad_pair(100),
+    "bad_pair_10": lambda: build_bad_pair(10),
+    "truthful_tight": lambda: build_truthful_tight(4, 3, 6),
+    "local_tight": lambda: build_local_tight(L=3),
+}
+
+
+@pytest.mark.parametrize("build, collect_lambda", [
+    pytest.param(build, collect_lambda,
+                 id=name + ("-lambda" if collect_lambda else ""))
+    for name, build in WARM_BUILDS.items() for collect_lambda in (False, True)
+])
+def test_a_warm_segment_cache_gives_the_cold_rows(
+        monkeypatch, build, collect_lambda):
     warm = build()
-    run_trials(warm, 300, 1, collect_lambda=False)
-    got = run_trials(warm, 300, 2, collect_lambda=False)
-    if warm.name == "bad_pair":
-        assert warm.prepared.segments
+    run_trials(warm, 300, 1, collect_lambda=collect_lambda)
+    got = run_trials(warm, 300, 2, collect_lambda=collect_lambda)
+    assert warm.prepared.segments
     # cold: a fresh scenario that never jumps
     cold = build()
     monkeypatch.setattr(cold.prepared, "segments", _Unkept())
-    assert got == run_trials(cold, 300, 2, collect_lambda=False)
+    assert got == run_trials(cold, 300, 2, collect_lambda=collect_lambda)
     assert not cold.prepared.segments
 
 
@@ -831,7 +868,7 @@ def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
 
 
 def _stored_rounds(prepared):
-    return sum(segment[0] for segment in prepared.segments.values())
+    return sum(segment[0] + 1 for segment in prepared.segments.values())
 
 
 def test_a_stretch_cut_by_a_cap_is_stored_whole_by_a_later_run():
@@ -864,34 +901,39 @@ def _complement_pair():
 
 
 def _traced_stretches(records, reads_last_bid):
-    """(end round, head state, segment) for every stretch of at least 2
-    rounds in a trace: the rounds from a head (round 0 or the round after
-    a draw) up to the first round that draws or demands nothing, which
-    ends it."""
-    n = len(records[0].bids)
+    """(end round, head state, segment) for every stretch in a trace: the
+    k >= 0 rounds from a head (round 0 or the round after a draw) that
+    draw nothing, then the tail, the first round that draws or demands
+    nothing, which ends it."""
+    n, m = len(records[0].bids), len(records[0].prices_before)
+    nobody = (0,) * n
     stretches, head = [], 0
     for end, record in enumerate(records):
         if record.excess and all(len(d.candidates) == 1
                                  for d in record.draws):
             continue
         played = records[head:end]
-        if len(played) >= 2:
-            before = records[head - 1] if head else None
-            state = (before.provisional if before else (0,) * n,
-                     played[0].prices_before,
-                     (before.bids if before else (0,) * n)
-                     if reads_last_bid else None)
-            stretches.append((end, state, (
-                len(played), tuple(r.prices_after for r in played),
-                tuple(r.provisional for r in played),
-                tuple(r.bids for r in played))))
+        before = records[head - 1] if head else None
+        state = (before.provisional if before else nobody,
+                 records[head].prices_before,
+                 (before.bids if before else nobody)
+                 if reads_last_bid else None)
+        held = records[end - 1].provisional if end else nobody
+        stretches.append((end, state, (
+            len(played), tuple(r.prices_after for r in played),
+            tuple(r.provisional for r in played),
+            tuple(r.bids for r in played),
+            (record.bids, mechanism._plan_round(record.bids, held, m)))))
         head = end + 1
     return stretches
 
 
 def _stored_by_a_fresh_run(valuations, strategies, seed, cap=None):
-    """The segments a fresh PreparedBidders holds after one quiet run."""
+    """The segments a fresh PreparedBidders holds after the same quiet run
+    twice: the first sights every head it meets, the second stores."""
     fresh = PreparedBidders(valuations, strategies)
+    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
+    assert not fresh.segments and fresh.sightings
     _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
     assert fresh.segment_rounds == _stored_rounds(fresh)
     return fresh.segments
@@ -933,7 +975,7 @@ def test_a_run_capped_inside_a_stretch_stores_nothing_of_it(bidders):
                 valuations, strategies, seed, cap) == expected
 
 
-@pytest.mark.parametrize("limit", [47, 48, 96, 97])
+@pytest.mark.parametrize("limit", [47, 48, 49, 96, 97, 98])
 def test_a_stretch_longer_than_the_cache_limit_is_not_stored(
         monkeypatch, limit):
     monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", limit)
@@ -943,13 +985,16 @@ def test_a_stretch_longer_than_the_cache_limit_is_not_stored(
     for seed in range(10):
         records = run_auction(valuations, strategies, seed).records
         expected = {head: segment for _, head, segment
-                    in _traced_stretches(records, False)
-                    if segment[0] <= limit}
+                    in _traced_stretches(records, False)}
         stored = _stored_by_a_fresh_run(valuations, strategies, seed)
-        assert stored == expected
+        # the long stretch may empty the store of the round-0 segment
+        assert stored.items() <= expected.items()
+        assert {k for k, *_ in stored.values() if k} == {
+            k for k, *_ in expected.values() if k and k + 1 <= limit}
         lengths.update(segment[0] for segment in stored.values())
-    # one stretch an auction, split (97 rounds) or sweep (48 rounds)
-    assert lengths == {k for k in (48, 97) if k <= limit}
+    # round 0 draws; then one stretch an auction, split (97 rounds and a
+    # tail) or sweep (48 rounds and a tail)
+    assert lengths - {0} == {k for k in (48, 97) if k + 1 <= limit}
 
 
 def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
@@ -957,14 +1002,14 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
     warm = PreparedBidders(valuations, strategies)
     for seed in range(40):
         _quiet_result(valuations, strategies, seed, None, prepared=warm)
-    segments = list(warm.segments.values())
-    assert segments
-    # forget every decision and the round after each segment, so the
-    # round a jump lands on asks the rules again
+    # forget every decision and every stretch but those from round 0 and
+    # round 1 (prices (0, 0) and (1, 1)), so a run that jumps both asks the
+    # rules at the head that follows
     for memo in warm.memos:
         memo.clear()
-    for _, price_rows, held_rows, bid_rows in segments:
-        warm.rounds.pop((held_rows[-1], price_rows[-1], bid_rows[-1]), None)
+    for head in [head for head in warm.segments if sum(head[1]) > 2]:
+        del warm.segments[head]
+    assert warm.segments
     seen = []
 
     def spy(i, propose):
@@ -1007,28 +1052,35 @@ def test_segments_stay_within_the_cache_limit(
     assert built and evictions
 
 
-@pytest.mark.parametrize("observed", [False, True],
-                         ids=["traced", "observed"])
-def test_a_traced_or_observed_run_never_jumps(monkeypatch, observed):
-    scenario = build_bad_pair(100)
-    valuations, strategies = scenario.valuations, scenario.strategies
-    warm = PreparedBidders(valuations, strategies)
-    for seed in range(20):
-        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+def test_a_traced_run_never_jumps(monkeypatch):
+    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
     segments = dict(warm.segments)
-    assert segments
     settles = _counting_settles(monkeypatch)
     for seed in range(20, 30):
         cold = build_bad_pair(100)
-        fresh = PreparedBidders(cold.valuations, cold.strategies)
-        # an observed run is untraced; either way no round may be skipped
-        run = _observed_run if observed else run_auction
-        options = {"record_trace": False} if observed else {}
-        expected = run(cold.valuations, cold.strategies, seed,
-                       prepared=fresh, **options)
+        expected = run_auction(cold.valuations, cold.strategies, seed)
         del settles[:]
-        got = run(valuations, strategies, seed, prepared=warm, **options)
+        got = run_auction(valuations, strategies, seed, prepared=warm)
         assert got == expected
-        outcome = got[0] if observed else got
-        assert len(settles) == outcome.rounds + 1
+        assert len(settles) == got.rounds + 1
     assert warm.segments == segments
+
+
+def test_a_warm_observed_run_jumps_with_the_cold_observations(monkeypatch):
+    # 40 seeds see both round-1 heads at least twice
+    valuations, strategies, warm = _warm(lambda: build_bad_pair(100),
+                                         range(40))
+    settles = _counting_settles(monkeypatch)
+    for seed in range(20, 30):
+        # cold: one run on a fresh PreparedBidders, which stores nothing
+        cold = build_bad_pair(100)
+        expected = _observed_run(cold.valuations, cold.strategies, seed,
+                                 record_trace=False)
+        del settles[:]
+        got = _observed_run(valuations, strategies, seed, record_trace=False,
+                            prepared=warm)
+        # the same observer calls, one per round, and the same λ witnesses
+        assert got == expected
+        assert [call[0] for call in got[1]] == list(range(got[0].rounds))
+        # two tails settle: round 0's draw and the last, empty round
+        assert len(settles) == 2

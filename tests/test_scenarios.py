@@ -424,6 +424,19 @@ def test_run_trials_refuses_a_bad_subset_cap_or_seed_before_the_oracle(
     assert oracle_calls == []
 
 
+def test_run_trials_refuses_a_bad_max_rounds_before_the_oracle(monkeypatch):
+    sc = build_bad_pair(10)
+    # a budget of 0 stays legal: every trial diverges at round 0
+    assert all(row.diverged for row in run_trials(sc, 2, max_rounds=0).rows)
+    oracle_calls = []
+    monkeypatch.setattr(scenarios, "optimal_welfare",
+                        lambda valuations: oracle_calls.append(valuations))
+    for bad in (True, False, -1, 2.5, "3"):
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_trials(sc, 3, max_rounds=bad)
+    assert oracle_calls == []
+
+
 def test_summary_dict_shape():
     stats = run_trials(build_bad_pair(10), 20, seed=2)
     summary = stats.summary_dict()
