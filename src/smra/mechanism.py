@@ -108,13 +108,11 @@ def _settle(
     provisional: list[int],
     steps: Sequence[tuple],
     choose: Callable[[tuple[int, ...]], int],
-    draws: list[Draw] | None,
 ) -> bool:
     """Apply a plan's steps: raise each item's price one step and move it,
     in place. A sole demander wins outright; `choose(cands)` picks the
-    winner only when two or more bidders contest an item. Draws are
-    appended to `draws` when it is a list. Returns whether `choose` was
-    called, that is whether the round drew.
+    winner only when two or more bidders contest an item. Returns whether
+    `choose` was called, that is whether the round drew.
     """
     drew = False
     for j, low, cands, holder in steps:
@@ -127,9 +125,24 @@ def _settle(
         if holder >= 0:
             provisional[holder] ^= low
         provisional[winner] |= low
-        if draws is not None:
-            draws.append(Draw(j, cands, winner))
     return drew
+
+
+def _record(t: int, prices_before: tuple[int, ...], bids: tuple[int, ...],
+            plan: tuple[int, tuple[tuple, ...]], prices_after: tuple[int, ...],
+            held: tuple[int, ...]) -> RoundRecord:
+    """Round t's record, built from its plan and the holdings after it:
+    each step's winner is the demander that holds the item after the
+    round (an item changes hands only at its own step)."""
+    demanded, steps = plan
+    draws = []
+    for j, low, cands, _ in steps:
+        for winner in cands:
+            if held[winner] & low:
+                break
+        draws.append(Draw(j, cands, winner))
+    return RoundRecord(t, prices_before, bids, demanded, tuple(draws),
+                       prices_after, held)
 
 
 def default_max_rounds(valuations: Sequence[Valuation]) -> int:
@@ -174,7 +187,8 @@ class _Column(Sequence):
 class PreparedBidders:
     """run_auction's setup of one bidder list and the owner of its caches,
     shared by its auctions in one process (a Scenario keeps one for its
-    lifetime). Per bidder: value table, decision memo, the last-bid bits
+    lifetime); one that run_auction builds for a single call keeps no
+    segments. Per bidder: value table, decision memo, the last-bid bits
     a memo key keeps, and propose; max_rounds is the default round
     budget. Raises as common_universe and value_table do. A memo maps
     (own set, prices, last bid minus own set or 0) to the rule's bid; it
@@ -236,17 +250,19 @@ def run_auction(
 
     Bidder setup and caches are `prepared` if built from these very
     valuations and strategies (run_trials passes Scenario.prepared), else
-    a new one, so a call without it reuses nothing from earlier calls.
-    Each round every strategy sees a BidContext (current prices, own
+    a new one, so a call without it reuses nothing from earlier calls and
+    keeps no store: no head recurs within one auction. Each round every
+    strategy sees a BidContext (current prices, own
     holdings, full histories) and proposes a bid mask. A memoised rule
     (see PreparedBidders) that has met its key before gets its remembered
     bid instead, without a propose call. A bidder's context is built on
     its first propose and refreshed on each later one; the price table is
     built once per round, on the first bidder that misses. The bids then
-    go through _plan_round (the bid check) and _settle, which replay_trace
-    re-runs to check a trace. The histories are three lists of one row per
-    settled round: prices, holdings entering it and bids. A context's own
-    histories are its bidder's columns of the last two, as views.
+    go through _plan_round (the bid check), _settle and, when traced,
+    _record, which replay_trace re-runs to check a trace. The histories
+    are three lists of one row per settled round: prices, holdings
+    entering it and bids. A context's own histories are its bidder's
+    columns of the last two, as views.
 
     The first all-empty round settles nothing, is recorded like any other,
     and ends the auction. The observer, if given, is called after every
@@ -254,19 +270,18 @@ def run_auction(
     of masks. run_trials measures λ this way, with
     oracle.RationalityScan.update as the observer.
 
-    An untraced run of memoised rules jumps over deterministic stretches.
-    A head is round 0 or the round after one that drew. At a head the run
-    looks its start state up in the prepared segments (see
+    A run of memoised rules with a store jumps over deterministic
+    stretches. A head is round 0 or the round after one that drew. At a
+    head the run looks its start state up in the prepared segments (see
     PreparedBidders). If a segment is there and its k rounds fit (t + k <=
-    max_rounds), the run calls the observer for each jumped round j with
-    (t + j, price_rows[j], holding_rows[j]), as running it would, extends
-    the three histories by the rows, moves to their last state and round
-    t + k, and settles the tail's plan with its own draws: no propose, memo
-    lookup or bid check, and the contexts are left as they were. The tail
-    draws or ends the auction, so the next round is a head again. Jumped
-    rounds make no draw, so every outcome and byte is that of running
-    them; a segment that does not fit runs round by round and diverges at
-    the cold round. A head not found is sighted, or marked on its second
+    max_rounds), the run extends the three histories by the rows, observes
+    and records each jumped round from them as running it would, moves to
+    round t + k, and settles the tail's plan with its own draws: no propose
+    or memo lookup, and the contexts are left as they were. The tail draws
+    or ends the auction, so the next round is a head again. Jumped rounds
+    make no draw, so every outcome and trace byte is that of running them;
+    a segment that does not fit runs round by round and diverges at the
+    cold round. A head not found is sighted, or marked on its second
     sighting; when the tail of a marked stretch settles, the run stores
     its segment from its own histories. A run that diverges or raises
     inside a stretch stores nothing.
@@ -280,6 +295,9 @@ def run_auction(
     if (prepared is None or prepared.valuations is not valuations
             or prepared.strategies is not strategies):
         prepared = PreparedBidders(valuations, strategies)
+        segments = None
+    else:
+        segments = prepared.segments
     max_rounds = (prepared.max_rounds if max_rounds is None
                   else require_int("max_rounds", max_rounds, 0))
     n, m = prepared.n, prepared.m
@@ -296,13 +314,12 @@ def run_auction(
     memos = prepared.memos
     last_bid_bits = prepared.last_bid_bits
     sightings = prepared.sightings
-    segments = prepared.segments
     reads_last_bid = prepared.reads_last_bid
     choose = random.Random(require_int("seed", seed)).choice
     records: list[RoundRecord] | None = [] if record_trace else None
     bidders = range(n)
     bids = (0,) * n
-    jumps = head = segments is not None and records is None
+    jumps = head = segments is not None
     mark = None
 
     t = 0
@@ -324,12 +341,20 @@ def run_auction(
                     sightings.add(sighting)
             elif t + segment[0] <= max_rounds:
                 k, price_rows, held_rows, bid_rows, (bids, plan) = segment
-                if observer is not None:
-                    for j in range(k):
-                        observer(t + j, price_rows[j], held_rows[j])
                 price_history.extend(price_rows)
                 held_history.extend(held_rows)
                 bid_history.extend(bid_rows)
+                if observer is not None or records is not None:
+                    for u in range(t, t + k):
+                        prices_after = price_history[u + 1]
+                        held_after = held_history[u + 1]
+                        if observer is not None:
+                            observer(u, prices_after, held_after)
+                        if records is not None:
+                            records.append(_record(
+                                u, price_history[u], bid_history[u],
+                                _plan_round(bid_history[u], held_history[u], m),
+                                prices_after, held_after))
                 current_prices, held = price_history[-1], held_history[-1]
                 prices[:], provisional[:] = current_prices, held
                 t += k
@@ -373,15 +398,12 @@ def run_auction(
             plan = _plan_round(bids, held, m)
         demanded, steps = plan
         if demanded and t >= max_rounds:
-            partial = AuctionOutcome(
+            raise Divergence(max_rounds, AuctionOutcome(
                 allocation=held, prices=current_prices, rounds=t,
                 records=tuple(records) if records is not None else None,
-                diverged=True,
-            )
-            raise Divergence(max_rounds, partial)
+                diverged=True))
 
-        draws: list[Draw] | None = [] if records is not None else None
-        drew = _settle(prices, provisional, steps, choose, draws)
+        drew = _settle(prices, provisional, steps, choose)
         if mark is not None and (drew or not demanded):
             spanned = t - marked_at + 1
             if spanned <= DECISION_CACHE_LIMIT:
@@ -399,16 +421,7 @@ def run_auction(
         held = tuple(provisional)
         if records is not None:
             records.append(
-                RoundRecord(
-                    t=t,
-                    prices_before=current_prices,
-                    bids=bids,
-                    excess=demanded,
-                    draws=tuple(draws),
-                    prices_after=new_prices,
-                    provisional=held,
-                )
-            )
+                _record(t, current_prices, bids, plan, new_prices, held))
         if not demanded:
             return AuctionOutcome(
                 allocation=held, prices=current_prices, rounds=t,
@@ -426,11 +439,8 @@ def run_auction(
 # ---------------------------------------------------------------------------
 # Traces: JSONL serialization and verifying replay
 
-_TRACE_KEYS = {
-    "t", "prices_before", "bids", "excess", "draws", "prices_after",
-    "provisional",
-}
-_DRAW_KEYS = {"item", "candidates", "chosen"}
+_TRACE_KEYS = {field.name for field in fields(RoundRecord)}
+_DRAW_KEYS = {field.name for field in fields(Draw)}
 
 
 def _record_to_json(record: RoundRecord) -> dict:
@@ -569,7 +579,7 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
         if len(record.bids) != n:
             raise TraceMismatch(f"round {expect_t}: bidder count changed")
         try:
-            demanded, steps = _plan_round(record.bids, provisional, m)
+            plan = _plan_round(record.bids, provisional, m)
         except InvalidBid as exc:
             raise TraceMismatch(f"round {expect_t}: {exc}") from None
         contested = iter([d for d in record.draws if len(d.candidates) > 1])
@@ -589,17 +599,9 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
             return draw.chosen
 
         prices_before = tuple(prices)
-        draws: list[Draw] = []
-        _settle(prices, provisional, steps, choose, draws)
-        replayed = RoundRecord(
-            t=expect_t,
-            prices_before=prices_before,
-            bids=tuple(record.bids),
-            excess=demanded,
-            draws=tuple(draws),
-            prices_after=tuple(prices),
-            provisional=tuple(provisional),
-        )
+        _settle(prices, provisional, plan[1], choose)
+        replayed = _record(expect_t, prices_before, tuple(record.bids), plan,
+                           tuple(prices), tuple(provisional))
         for field in fields(RoundRecord):
             recorded = getattr(record, field.name)
             if recorded != getattr(replayed, field.name):
@@ -607,11 +609,7 @@ def replay_trace(records: Sequence[RoundRecord]) -> ReplayResult:
                     f"round {expect_t}: recorded {field.name} {recorded} != "
                     f"replayed {getattr(replayed, field.name)}"
                 )
-        terminal = not demanded
+        terminal = not replayed.excess
         rounds += not terminal
-    return ReplayResult(
-        prices=tuple(prices),
-        provisional=tuple(provisional),
-        rounds=rounds,
-        terminal=terminal,
-    )
+    return ReplayResult(prices=tuple(prices), provisional=tuple(provisional),
+                        rounds=rounds, terminal=terminal)

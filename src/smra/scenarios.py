@@ -618,11 +618,11 @@ def aggregate_rows(
 
 
 def _cell_int(cell: str) -> int:
-    """An integer cell as to_csv writes it: ASCII digits after an optional
-    "-" (int() alone also takes "0_0", " 3", "+3" and non-ASCII digits)."""
-    digits = cell[1:] if cell[:1] == "-" else cell
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"CSV cell {cell!r} is not an integer")
+    """An integer cell as to_csv writes it: ASCII digits, with no sign,
+    since every integer column is >= 0 (int() alone also takes "0_0",
+    " 3", "+3", "-0" and non-ASCII digits)."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"CSV cell {cell!r} is not an integer >= 0")
     return int(cell)
 
 
@@ -642,10 +642,10 @@ def _flag(cell: str) -> bool:
 def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[TrialRow]]:
     """Parse a CSV written by TrialStats.to_csv back into rows. A foreign
     header, a row whose cell count differs from the header's, an integer
-    cell that is not ASCII digits after an optional "-" (the λ cells may
-    also be both empty, or inf over 1), a ratio or λ denominator that is
-    not positive, or a flag (diverged or event) other than 0 or 1 raises
-    ValueError."""
+    cell that is not ASCII digits alone (every integer column is >= 0; the
+    λ cells may also be both empty, or inf over 1), a ratio or λ
+    denominator that is not positive, or a flag (diverged or event) other
+    than 0 or 1 raises ValueError."""
     if isinstance(file, str):
         with open(file, "r", encoding="utf-8", newline="") as handle:
             return read_rows_csv(handle)

@@ -443,7 +443,12 @@ def degree_of_submodularity(valuation: Valuation) -> SubmodularityReport:
     m = valuation.universe_size
     table = valuation.value_table()
     _check_table_monotone(table, m)
+    return _submodularity_report(table, m)
 
+
+def _submodularity_report(table, m: int) -> SubmodularityReport:
+    """degree_of_submodularity's scoring of a table already checked to be
+    monotone."""
     best_num = best_den = 0  # ratio best_num / best_den; den == 0 <=> unset
     best_witness = None
     size = 1 << m
@@ -564,8 +569,9 @@ def random_near_submodular(
 
         if not 0 < table[size - 1] <= value_cap:
             continue
+        # TableValuation checks the table; score it without a second check
         candidate = TableValuation(tuple(table))
-        report = degree_of_submodularity(candidate)
+        report = _submodularity_report(candidate.values, m)
         if report.degree == inf or report.degree >= target_floor:
             return candidate
     raise GenerationFailed(

@@ -1,14 +1,15 @@
 """Every imported name in the package and its tests is used, every
 private module-level name and private method in the package is
-referenced somewhere in it, and only errors.require_int tests whether a
-value is an int.
+referenced somewhere in it, only errors.require_int tests whether a
+value is an int, and only mechanism._record builds a round's record.
 
 No linter ships with the project, so these scans are the guard: an import
 that nothing references fails here, and so does a `_name` function, class,
-constant or method that no module of the package uses any more, or a
-`type(x) is int` or `isinstance(x, bool)` test outside errors.py. The
-package's __init__.py is exempt from the import scan, since its imports
-are the public re-exports.
+constant or method that no module of the package uses any more, a
+`type(x) is int` or `isinstance(x, bool)` test outside errors.py, or a
+`RoundRecord(...)` or `Draw(...)` call outside mechanism._record and the
+trace reader. The package's __init__.py is exempt from the import scan,
+since its imports are the public re-exports.
 """
 
 import ast
@@ -144,3 +145,44 @@ def test_scan_sees_an_integer_type_test():
                          ids=lambda p: p.name)
 def test_only_require_int_tests_for_ints(path):
     assert integer_type_tests(path.read_text(encoding="utf-8")) == []
+
+
+# The functions of mechanism.py that may build records: the one builder,
+# and the trace reader with its draw parser.
+RECORD_BUILDERS = {"_record", "read_trace_jsonl", "_draw"}
+
+
+def record_builds(source: str, builders: set[str]) -> list[str]:
+    """`RoundRecord(...)` and `Draw(...)` calls outside the module-level
+    functions named in `builders`, in line order."""
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in builders:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in ("RoundRecord", "Draw"):
+                    found.append(
+                        (node.lineno, f"{name}(...) (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_scan_sees_a_record_built_outside_the_builder():
+    source = ("def _record(t):\n    return RoundRecord(t, Draw(1))\n"
+              "def run():\n    x = RoundRecord(0)\n"
+              "    return mechanism.Draw(2)\n"
+              "class Replay:\n    def step(self):\n        return Draw(3)\n")
+    assert record_builds(source, RECORD_BUILDERS) == [
+        "RoundRecord(...) (line 4)", "Draw(...) (line 5)", "Draw(...) (line 8)"]
+    assert record_builds(source, set()) == [
+        "Draw(...) (line 2)", "RoundRecord(...) (line 2)",
+        "RoundRecord(...) (line 4)", "Draw(...) (line 5)", "Draw(...) (line 8)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_builder_builds_round_records(path):
+    builders = RECORD_BUILDERS if path.name == "mechanism.py" else set()
+    assert record_builds(path.read_text(encoding="utf-8"), builders) == []

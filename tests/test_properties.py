@@ -1,5 +1,6 @@
 """Property-based invariants: engine rules, analysis oracles, path equality."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -619,8 +620,8 @@ def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, ca
     valuations, strategies = SETUP_CASES[case]()
     prepared = PreparedBidders(valuations, strategies)
     for seed in range(10):
-        # fresh objects: a new setup and empty caches every time; a traced
-        # run fills the memos, a quiet one the segments
+        # fresh objects: a new setup and empty caches every time; traced
+        # and quiet runs alike fill the memos and the segments
         for record_trace in (True, False):
             fresh = _auction_result(*SETUP_CASES[case](), seed,
                                     record_trace=record_trace)
@@ -1052,18 +1053,59 @@ def test_segments_stay_within_the_cache_limit(
     assert built and evictions
 
 
-def test_a_traced_run_never_jumps(monkeypatch):
-    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
-    segments = dict(warm.segments)
+def _trace_text(records):
+    buffer = io.StringIO()
+    mechanism.write_trace_jsonl(records, buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", ["bad_pair_100", "truthful_tight",
+                                  "local_tight"])
+def test_a_warm_traced_run_jumps_with_the_cold_trace(monkeypatch, name):
+    # 40 seeds see every round-1 head of bad_pair at least twice; the
+    # tight builds store only stretches of k = 0, whose tails still settle
+    build = WARM_BUILDS[name]
+    valuations, strategies, warm = _warm(build, range(40))
     settles = _counting_settles(monkeypatch)
-    for seed in range(20, 30):
-        cold = build_bad_pair(100)
+    plans = _counting_plans(monkeypatch)
+    jumped = skipped = 0
+    for seed in range(20, 40):
+        # cold: one run on a fresh PreparedBidders, which stores nothing
+        cold = build()
         expected = run_auction(cold.valuations, cold.strategies, seed)
-        del settles[:]
+        del settles[:], plans[:]
         got = run_auction(valuations, strategies, seed, prepared=warm)
+        settled, planned = len(settles), len(plans)
+        # the same records, so the same trace bytes, and a trace that
+        # replays
         assert got == expected
-        assert len(settles) == got.rounds + 1
-    assert warm.segments == segments
+        assert _trace_text(got.records) == _trace_text(expected.records)
+        assert replay_trace(got.records).rounds == got.rounds
+        assert settled <= got.rounds + 1 and planned <= got.rounds + 1
+        jumped += settled < got.rounds + 1
+        skipped += planned < got.rounds + 1
+    assert skipped and (jumped or name != "bad_pair_100")
+
+
+def test_a_one_off_call_keeps_no_store(monkeypatch):
+    # no head recurs within one auction, so a store that lives for one
+    # call would be written and never read
+    built = []
+
+    class Recorded(PreparedBidders):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mechanism, "PreparedBidders", Recorded)
+    scenario = build_bad_pair(100)
+    for seed in range(3):
+        run_auction(scenario.valuations, scenario.strategies, seed,
+                    record_trace=False)
+    assert len(built) == 3
+    for prepared in built:
+        assert prepared.segments == {} and not prepared.sightings
+        assert prepared.memos[0]
 
 
 def test_a_warm_observed_run_jumps_with_the_cold_observations(monkeypatch):

@@ -530,6 +530,10 @@ def _with_cell(row: str, index: int, edit) -> str:
     lambda row: _with_cell(row, 7, lambda c: c + " "),
     lambda row: _with_cell(_with_cell(row, 7, lambda c: "inf"), 8, lambda c: "2"),
     lambda row: _with_cell(row, 7, lambda c: ""),
+    # every integer column is >= 0, so to_csv never writes a sign
+    lambda row: _with_cell(row, 2, lambda c: "-5"),
+    lambda row: _with_cell(row, 0, lambda c: "-0"),
+    lambda row: _with_cell(row, 7, lambda c: "-" + c),
     # to_csv writes every denominator positive
     lambda row: _with_cell(row, 6, lambda c: "0"),
     lambda row: _with_cell(row, 6, lambda c: "-" + c),
@@ -539,6 +543,7 @@ def _with_cell(row: str, index: int, edit) -> str:
         "trial_0_0", "seed_underscore", "rounds_space", "welfare_plus",
         "optimal_arabic", "lambda_num_space",
         "lambda_inf_over_2", "lambda_num_empty",
+        "rounds_negative", "trial_minus_zero", "lambda_num_negative",
         "ratio_den_0", "ratio_den_negative", "lambda_den_0",
         "lambda_den_negative"])
 def test_read_rows_rejects_malformed_rows(edit):

@@ -21,6 +21,7 @@ from smra import (
     random_near_submodular,
     valuation_from_spec,
 )
+from smra import valuations
 
 from helpers import naive_degree
 
@@ -339,6 +340,24 @@ def test_generation_respects_value_cap():
             assert 0 < v.max_value() <= 20
             assert v.value(0) == 0
             assert is_alpha_near_submodular(v, alpha)
+
+
+def test_generation_checks_each_table_once(monkeypatch):
+    # TableValuation checks a candidate's monotonicity; scoring it must not
+    # check it again
+    checks, tables = [], []
+    real_check, real_table = (valuations._check_table_monotone,
+                              valuations.TableValuation)
+    monkeypatch.setattr(valuations, "_check_table_monotone",
+                        lambda *args: checks.append(1) or real_check(*args))
+    monkeypatch.setattr(valuations, "TableValuation",
+                        lambda values: tables.append(1) or real_table(values))
+    for seed in range(12):
+        for alpha in (1, 2, 3):
+            del checks[:], tables[:]
+            v = random_near_submodular(4, alpha, 20, seed=seed)
+            assert isinstance(v, real_table)
+            assert len(checks) == len(tables) >= 1
 
 
 def test_generation_budget_exhausts():
