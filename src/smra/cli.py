@@ -27,9 +27,12 @@ from .itemsets import items_of
 from .mechanism import read_trace_jsonl, replay_trace
 from .oracle import optimal_welfare
 from .scenarios import BUILTIN_SCENARIOS, build_builtin, load_scenario, run_trials
+from .strategies import LOCAL_STARTS, SECURE_VARIANTS
 from .valuations import degree_of_submodularity, valuation_from_spec
 
-_BUILDER_PARAMS = ("M", "k", "n", "alpha", "H", "L")
+# Every parameter some builtin takes, in the order the builtins declare them.
+_BUILDER_PARAMS = tuple(dict.fromkeys(
+    name for _, defaults in BUILTIN_SCENARIOS.values() for name in defaults))
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -48,11 +51,11 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
             help=f"builtin parameter {name} (builtins only)",
         )
     parser.add_argument(
-        "--local-start", choices=("previous", "empty"), default=None,
+        "--local-start", choices=LOCAL_STARTS, default=None,
         help="start point for locally optimal bidders",
     )
     parser.add_argument(
-        "--secure-variant", choices=("incremented", "posted"), default=None,
+        "--secure-variant", choices=SECURE_VARIANTS, default=None,
         help="price basis of the security check",
     )
 

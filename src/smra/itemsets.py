@@ -41,12 +41,16 @@ def mask_of(items: Iterable[int], m: int | None = None) -> int:
     """Build a mask from item indices, validating against a universe size.
 
     Raises TypeError on an item that is not an int (a bool included, so
-    JSON true/false never pass as items 1 and 0)."""
+    JSON true/false never pass as items 1 and 0), UniverseMismatch on an
+    item outside the universe, and ValueError, naming the list and the
+    item, on an item the list names twice."""
     mask = 0
     for item in items:
         require_int("item", item, error=TypeError)
         if item < 0 or (m is not None and item >= m):
             raise UniverseMismatch(f"item {item} outside universe of size {m}")
+        if (mask >> item) & 1:
+            raise ValueError(f"item list {items!r} names item {item} twice")
         mask |= 1 << item
     return mask
 

@@ -473,13 +473,6 @@ def _int(x) -> int:
     return require_int("trace entry", x, error=TypeError)
 
 
-def _items(items, m: int) -> int:
-    mask = mask_of(items, m)
-    if mask.bit_count() != len(items):
-        raise ValueError(f"item list {items!r} names an item twice")
-    return mask
-
-
 def _draw(d) -> Draw:
     if set(d) != _DRAW_KEYS:
         raise ValueError(f"draw {d!r} does not have exactly the keys "
@@ -527,11 +520,11 @@ def read_trace_jsonl(file: IO[str] | str) -> list[RoundRecord]:
             record = RoundRecord(
                 t=_int(obj["t"]),
                 prices_before=tuple(map(_int, obj["prices_before"])),
-                bids=tuple(_items(b, m) for b in obj["bids"]),
-                excess=_items(obj["excess"], m),
+                bids=tuple(mask_of(b, m) for b in obj["bids"]),
+                excess=mask_of(obj["excess"], m),
                 draws=tuple(_draw(d) for d in obj["draws"]),
                 prices_after=tuple(map(_int, obj["prices_after"])),
-                provisional=tuple(_items(s, m) for s in obj["provisional"]),
+                provisional=tuple(mask_of(s, m) for s in obj["provisional"]),
             )
         except (TypeError, ValueError, UniverseMismatch) as exc:
             raise TraceMismatch(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .errors import InvalidAllocation, OracleTooLarge, require_int
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
-from .valuations import Valuation, common_universe
+from .valuations import Valuation, common_universe, ratio_text
 
 # The assignment DP touches n * 3**m (bidder, bundle-in-context) pairs.
 OPS_LIMIT = 50_000_000
@@ -233,9 +233,6 @@ class RationalityReport:
     witness_full: Optional[tuple[int, int, tuple[int, ...]]]
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return "inf" if x == inf else str(x)
-
         def wit(w):
             if w is None:
                 return None
@@ -243,8 +240,8 @@ class RationalityReport:
             return {"round": t, "bidder": bidder, "items": list(items)}
 
         return {
-            "lambda": enc(self.lam),
-            "lambda_full": enc(self.lam_full),
+            "lambda": ratio_text(self.lam),
+            "lambda_full": ratio_text(self.lam_full),
             "witness": wit(self.witness),
             "witness_full": wit(self.witness_full),
         }

@@ -46,6 +46,7 @@ from .valuations import (
     UnitDemandValuation,
     Valuation,
     common_universe,
+    ratio_text,
     valuation_from_spec,
 )
 
@@ -593,12 +594,6 @@ def aggregate_rows(
     ratio_sum = sum((r.ratio for r in rows), Fraction(0))
     lam_values = [r.lam for r in rows if r.lam is not None]
     max_lambda: Union[Fraction, float, None] = max(lam_values, default=None)
-    if max_lambda is None:
-        max_lambda_enc = None
-    elif max_lambda == inf:
-        max_lambda_enc = "inf"
-    else:
-        max_lambda_enc = str(max_lambda)
     out = {
         "trials": n,
         "welfare_sum": welfare_sum,
@@ -606,7 +601,7 @@ def aggregate_rows(
         "rounds_total": rounds_total,
         "rounds_mean": rounds_total / n if n else 0.0,
         "ratio_mean": float(ratio_sum / n) if n else 0.0,
-        "max_lambda": max_lambda_enc,
+        "max_lambda": None if max_lambda is None else ratio_text(max_lambda),
         "diverged": sum(1 for r in rows if r.diverged),
         "events": {},
     }
@@ -641,9 +636,10 @@ def _flag(cell: str) -> bool:
 
 def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[TrialRow]]:
     """Parse a CSV written by TrialStats.to_csv back into rows. A foreign
-    header, a row whose cell count differs from the header's, an integer
-    cell that is not ASCII digits alone (every integer column is >= 0; the
-    λ cells may also be both empty, or inf over 1), a ratio or λ
+    header (other fixed columns, or a later column not named
+    `event_<name>`), a row whose cell count differs from the header's, an
+    integer cell that is not ASCII digits alone (every integer column is
+    >= 0; the λ cells may also be both empty, or inf over 1), a ratio or λ
     denominator that is not positive, or a flag (diverged or event) other
     than 0 or 1 raises ValueError."""
     if isinstance(file, str):
@@ -652,7 +648,8 @@ def read_rows_csv(file: Union[IO[str], str]) -> tuple[tuple[str, ...], list[Tria
     reader = csv.reader(file)
     header = next(reader, [])  # an empty file has no header
     width = len(_CSV_PREFIX)
-    if tuple(header[:width]) != _CSV_PREFIX:
+    if (tuple(header[:width]) != _CSV_PREFIX
+            or not all(name.startswith("event_") for name in header[width:])):
         raise ValueError(f"unexpected CSV header {header!r}")
     event_names = tuple(name[len("event_"):] for name in header[width:])
     rows = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import inf
 from typing import Sequence, Union
@@ -41,6 +41,8 @@ class Valuation(ABC):
     """A monotone integer set function with value(empty) == 0."""
 
     form: str = "abstract"
+    # JSON key of each dataclass field whose key is not the field's name
+    _json_names: dict[str, str] = {}
 
     @property
     @abstractmethod
@@ -74,9 +76,17 @@ class Valuation(ABC):
         """Worth of the full bundle (the largest value, by monotonicity)."""
         return self.value(full_mask(self.universe_size))
 
-    @abstractmethod
     def spec_dict(self) -> dict:
-        """JSON-ready description; inverse of valuation_from_spec."""
+        """JSON-ready description; inverse of valuation_from_spec. The
+        form, then every dataclass field in field order under its JSON
+        name, with tuples written as lists. A valuation that is not a
+        dataclass writes its own."""
+        spec = {"form": self.form}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            key = self._json_names.get(field.name, field.name)
+            spec[key] = list(value) if isinstance(value, tuple) else value
+        return spec
 
 
 def common_universe(valuations: Sequence[Valuation]) -> int:
@@ -129,16 +139,13 @@ class TableValuation(Valuation):
     def value_table(self) -> tuple[int, ...]:
         return self.values
 
-    def spec_dict(self) -> dict:
-        return {"form": "table", "values": list(self.values)}
-
 
 @dataclass(frozen=True)
-class AdditiveValuation(Valuation):
-    """Each item has a fixed worth; a bundle is worth the sum."""
+class _WeightedValuation(Valuation):
+    """A worth per item; the subclasses, dataclasses by inheritance, say
+    how a bundle combines them."""
 
     weights: tuple[int, ...]
-    form = "additive"
 
     def __post_init__(self):
         object.__setattr__(
@@ -150,6 +157,12 @@ class AdditiveValuation(Valuation):
     @property
     def universe_size(self) -> int:
         return len(self.weights)
+
+
+class AdditiveValuation(_WeightedValuation):
+    """Each item has a fixed worth; a bundle is worth the sum."""
+
+    form = "additive"
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
@@ -161,27 +174,11 @@ class AdditiveValuation(Valuation):
             mask ^= low
         return total
 
-    def spec_dict(self) -> dict:
-        return {"form": "additive", "weights": list(self.weights)}
 
-
-@dataclass(frozen=True)
-class UnitDemandValuation(Valuation):
+class UnitDemandValuation(_WeightedValuation):
     """A bundle is worth its single best item."""
 
-    weights: tuple[int, ...]
     form = "unit_demand"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", _require_nonneg_ints(self.weights, "weight")
-        )
-        if not self.weights:
-            raise ValueError("need at least one item")
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.weights)
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
@@ -194,9 +191,6 @@ class UnitDemandValuation(Valuation):
                 best = x
             mask ^= low
         return best
-
-    def spec_dict(self) -> dict:
-        return {"form": "unit_demand", "weights": list(self.weights)}
 
 
 @dataclass(frozen=True)
@@ -213,6 +207,7 @@ class SymmetricStepValuation(Valuation):
     num: int
     den: int = 1
     form = "symmetric_step"
+    _json_names = {"num": "alpha_num", "den": "alpha_den"}
 
     def __post_init__(self):
         _require_int_fields(self, "m", "num", "den")
@@ -231,14 +226,6 @@ class SymmetricStepValuation(Valuation):
         if s == 0:
             return 0
         return (s - 1) * self.num + self.den
-
-    def spec_dict(self) -> dict:
-        return {
-            "form": "symmetric_step",
-            "m": self.m,
-            "alpha_num": self.num,
-            "alpha_den": self.den,
-        }
 
 
 @dataclass(frozen=True)
@@ -275,10 +262,6 @@ class PairBonusValuation(Valuation):
         if s == 1:
             return self.unit
         return self.pair
-
-    def spec_dict(self) -> dict:
-        return {"form": "pair_bonus", "m": self.m, "unit": self.unit,
-                "pair": self.pair}
 
 
 @dataclass(frozen=True)
@@ -327,45 +310,32 @@ class TargetPairValuation(Valuation):
             return self.special_value + (self.bonus if has_target else 0)
         return self.unit if has_target else 0
 
-    def spec_dict(self) -> dict:
-        return {
-            "form": "type2_pair",
-            "m": self.m,
-            "target": self.target,
-            "special": self.special,
-            "unit": self.unit,
-            "special_value": self.special_value,
-            "bonus": self.bonus,
-        }
+
+# The JSON form of each valuation class, keyed by its `form` name.
+_FORMS = {cls.form: cls for cls in (
+    TableValuation, AdditiveValuation, UnitDemandValuation,
+    SymmetricStepValuation, PairBonusValuation, TargetPairValuation)}
 
 
 def valuation_from_spec(spec: dict) -> Valuation:
-    """Build a valuation from its JSON description (inverse of spec_dict)."""
+    """Build a valuation from its JSON description (inverse of spec_dict).
+    Each dataclass field is read from its JSON key; an absent key takes
+    the field's default, and keys that name no field are ignored."""
     if not isinstance(spec, dict) or "form" not in spec:
         raise ValueError(f"valuation spec must be a dict with a 'form': {spec!r}")
     form = spec["form"]
+    cls = _FORMS.get(form) if isinstance(form, str) else None
+    if cls is None:
+        raise ValueError(f"unknown valuation form {form!r}")
+    args = {}
+    for field in fields(cls):
+        key = cls._json_names.get(field.name, field.name)
+        if key in spec:
+            args[field.name] = spec[key]
+        elif field.default is MISSING:
+            raise ValueError(f"valuation spec for {form!r} is missing {key!r}")
     try:
-        if form == "table":
-            v = TableValuation(tuple(spec["values"]))
-        elif form == "additive":
-            v = AdditiveValuation(tuple(spec["weights"]))
-        elif form == "unit_demand":
-            v = UnitDemandValuation(tuple(spec["weights"]))
-        elif form == "symmetric_step":
-            v = SymmetricStepValuation(
-                spec["m"], spec["alpha_num"], spec.get("alpha_den", 1)
-            )
-        elif form == "pair_bonus":
-            v = PairBonusValuation(spec["m"], spec["unit"], spec["pair"])
-        elif form == "type2_pair":
-            v = TargetPairValuation(
-                spec["m"], spec["target"], spec["special"],
-                spec["unit"], spec["special_value"], spec["bonus"],
-            )
-        else:
-            raise ValueError(f"unknown valuation form {form!r}")
-    except KeyError as exc:
-        raise ValueError(f"valuation spec for {form!r} is missing {exc}") from None
+        v = cls(**args)
     except TypeError as exc:
         raise ValueError(f"malformed {form!r} valuation spec: {exc}") from None
     declared = spec.get("universe_size")
@@ -380,6 +350,11 @@ def valuation_from_spec(spec: dict) -> Valuation:
 
 # ---------------------------------------------------------------------------
 # Degree of submodularity
+
+
+def ratio_text(x: Fraction | float) -> str:
+    """The JSON text of an exact ratio: "inf", or else str(x), as "3/2"."""
+    return "inf" if x == inf else str(x)
 
 
 @dataclass(frozen=True)
@@ -398,10 +373,8 @@ class SubmodularityReport:
     witness: tuple[int, int, int] | None
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return "inf" if x == inf else str(x)
-
-        d: dict = {"degree": enc(self.degree), "alpha": enc(self.alpha)}
+        d: dict = {"degree": ratio_text(self.degree),
+                   "alpha": ratio_text(self.alpha)}
         if self.witness is None:
             d["witness"] = None
         else:

@@ -436,4 +436,6 @@ MALFORMED_SCENARIOS = [
     {"name": "x", "m": 1, "bidders": [  # a float universe_size
         {**_GOOD_BIDDER, "valuation": {"form": "additive", "weights": [1],
                                        "universe_size": 1.0}}]},
+    {"name": "x", "m": 2, "bidders": [  # a script step naming an item twice
+        {**_GOOD_BIDDER, "strategy": {"kind": "scripted", "script": [[0, 0]]}}]},
 ]

@@ -1,15 +1,18 @@
 """Every imported name in the package and its tests is used, every
 private module-level name and private method in the package is
 referenced somewhere in it, only errors.require_int tests whether a
-value is an int, and only mechanism._record builds a round's record.
+value is an int, only mechanism._record builds a round's record, and
+each valuation form name is written once, on its class's `form =` line.
 
 No linter ships with the project, so these scans are the guard: an import
 that nothing references fails here, and so does a `_name` function, class,
 constant or method that no module of the package uses any more, a
 `type(x) is int` or `isinstance(x, bool)` test outside errors.py, or a
 `RoundRecord(...)` or `Draw(...)` call outside mechanism._record and the
-trace reader. The package's __init__.py is exempt from the import scan,
-since its imports are the public re-exports.
+trace reader, or a string literal equal to a valuation form name (such
+as "symmetric_step") anywhere but that line. The package's __init__.py is
+exempt from the import scan, since its imports are the public
+re-exports.
 """
 
 import ast
@@ -186,3 +189,49 @@ def test_scan_sees_a_record_built_outside_the_builder():
 def test_only_the_builder_builds_round_records(path):
     builders = RECORD_BUILDERS if path.name == "mechanism.py" else set()
     assert record_builds(path.read_text(encoding="utf-8"), builders) == []
+
+
+def form_declarations(source: str) -> list[ast.Constant]:
+    """The string constants of `form = "..."` lines in class bodies."""
+    return [
+        item.value
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.Assign) and isinstance(item.value, ast.Constant)
+        and [ast.unparse(t) for t in item.targets] == ["form"]
+    ]
+
+
+def form_name_literals(source: str, names: set[str]) -> list[str]:
+    """String literals equal to one of `names` outside a class body's
+    `form =` line, in line order."""
+    tree = ast.parse(source)
+    declared = {(c.lineno, c.col_offset) for c in form_declarations(source)}
+    found = [
+        (node.lineno, f"{node.value!r} (line {node.lineno})")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names
+        and (node.lineno, node.col_offset) not in declared
+    ]
+    return [text for _, text in sorted(found)]
+
+
+def test_scan_sees_a_form_name_outside_its_class():
+    source = ('class Step:\n    form = "step"\n    kind = "step"\n'
+              'def load(spec):\n    if spec["form"] == "step":\n'
+              '        return {"form": "step", "note": "step up"}\n'
+              'class Other:\n    form = "other"\n')
+    assert [c.value for c in form_declarations(source)] == ["step", "other"]
+    assert form_name_literals(source, {"step", "other"}) == [
+        "'step' (line 3)", "'step' (line 5)", "'step' (line 6)"]
+
+
+FORM_NAMES = {c.value for path in PACKAGE
+              for c in form_declarations(path.read_text(encoding="utf-8"))}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_form_names_appear_only_on_their_class_line(path):
+    assert "symmetric_step" in FORM_NAMES
+    assert form_name_literals(path.read_text(encoding="utf-8"),
+                              FORM_NAMES) == []

@@ -239,6 +239,8 @@ def test_mask_of_takes_only_integer_items():
             mask_of([bad], 3)
     with pytest.raises(UniverseMismatch):
         mask_of([3], 3)
+    with pytest.raises(ValueError, match=r"item list \[2, 0, 2\] names item 2 twice"):
+        mask_of([2, 0, 2], 3)
 
 
 def test_divergence_carries_partial_outcome():

@@ -1,6 +1,7 @@
 """Scenario builders and the Monte Carlo trial harness."""
 
 import dataclasses
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -158,6 +159,8 @@ def test_partition_validation():
         build_scripted_partition([])
     with pytest.raises(InvalidPartition):  # a bool is not the mask 0b1
         build_scripted_partition([True])
+    with pytest.raises(ValueError, match="names item 0 twice"):
+        build_scripted_partition([[0, 0], [1]])
 
 
 def test_scenario_validation():
@@ -214,6 +217,29 @@ def test_scenario_spec_round_trip():
         assert rebuilt.valuations == sc.valuations
         assert rebuilt.strategies == sc.strategies
         assert rebuilt.events == ()  # events never travel through JSON
+
+
+# builtin -> sha256 of json.dumps of its default build's spec_dict(); the
+# exact bytes a scenario file saved from it carries
+BUILTIN_SPEC_DIGESTS = {
+    "bad_pair": "794d2154be56535fb49023e64c2db21043799327e5ba61cc922e7528b341a0e6",
+    "truthful_tight":
+        "5f6c6b7219bc4ec80341f6501602ff5580a0c869f8dc2484b453fe197d39c421",
+    "local_tight":
+        "49b47ff5f7cbcad69e5c151da2c09d054990506b862f36387177971ebe8b6533",
+    "superadditive":
+        "89d5c7c5adc36e6f9c14046a7504d27392f4b5d041c08393403d1065d34d1a71",
+    "lemma4": "89d5c7c5adc36e6f9c14046a7504d27392f4b5d041c08393403d1065d34d1a71",
+    "punishment":
+        "512f9541973f8d02d39641424e42ffa06f727094ba31536bade52455a2841ad0",
+}
+
+
+def test_builtin_scenario_specs_are_pinned():
+    assert set(BUILTIN_SPEC_DIGESTS) == set(BUILTIN_SCENARIOS)
+    for name, digest in BUILTIN_SPEC_DIGESTS.items():
+        text = json.dumps(build_builtin(name).spec_dict())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_scenario_from_spec_validation():
@@ -561,3 +587,11 @@ def test_read_rows_rejects_foreign_headers():
         read_rows_csv(io.StringIO("a,b,c\n1,2,3\n"))
     with pytest.raises(ValueError):
         read_rows_csv(io.StringIO(""))
+    # a trailing column must be an event column: `bogus` is not `event_`
+    buf = io.StringIO(newline="")
+    run_trials(build_bad_pair(10), 3, seed=6).to_csv(buf)
+    text = buf.getvalue()
+    assert read_rows_csv(io.StringIO(text, newline=""))[0] == ("welfare_2",)
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_rows_csv(io.StringIO(text.replace("event_welfare_2", "bogus"),
+                                  newline=""))

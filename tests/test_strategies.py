@@ -350,3 +350,5 @@ def test_strategy_from_spec_rejects_malformed_specs():
         strategy_from_spec({"kind": "scripted"}, 2)
     with pytest.raises(ValueError):
         strategy_from_spec({"kind": "scripted", "script": [5]}, 2)
+    with pytest.raises(ValueError, match="names item 0 twice"):
+        strategy_from_spec({"kind": "scripted", "script": [[0, 0], [1]]}, 2)

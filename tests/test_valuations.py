@@ -1,5 +1,7 @@
 """Valuation families, exact near-submodularity analysis, and generation."""
 
+import inspect
+import json
 from fractions import Fraction
 from math import inf
 
@@ -16,6 +18,7 @@ from smra import (
     TargetPairValuation,
     UnitDemandValuation,
     UniverseMismatch,
+    Valuation,
     degree_of_submodularity,
     is_alpha_near_submodular,
     random_near_submodular,
@@ -386,19 +389,41 @@ def test_generation_parameter_validation():
 
 
 def test_spec_round_trips():
+    # Each form's spec is pinned exactly: its JSON keys, their order and
+    # the list form of tuples are the scenario file format.
     cases = (
-        TableValuation((0, 1, 1, 3)),
-        AdditiveValuation((1, 2, 3)),
-        UnitDemandValuation((4, 0, 2)),
-        SymmetricStepValuation(4, 3),
-        SymmetricStepValuation(3, 3, 2),
-        PairBonusValuation(2, 1, 10),
-        TargetPairValuation(5, 1, 4, 1, 3, 2),
+        (TableValuation((0, 1, 1, 3)), {"form": "table", "values": [0, 1, 1, 3]}),
+        (AdditiveValuation((1, 2, 3)), {"form": "additive", "weights": [1, 2, 3]}),
+        (UnitDemandValuation((4, 0, 2)),
+         {"form": "unit_demand", "weights": [4, 0, 2]}),
+        (SymmetricStepValuation(4, 3),
+         {"form": "symmetric_step", "m": 4, "alpha_num": 3, "alpha_den": 1}),
+        (SymmetricStepValuation(3, 3, 2),
+         {"form": "symmetric_step", "m": 3, "alpha_num": 3, "alpha_den": 2}),
+        (PairBonusValuation(2, 1, 10),
+         {"form": "pair_bonus", "m": 2, "unit": 1, "pair": 10}),
+        (TargetPairValuation(5, 1, 4, 1, 3, 2),
+         {"form": "type2_pair", "m": 5, "target": 1, "special": 4, "unit": 1,
+          "special_value": 3, "bonus": 2}),
     )
-    for v in cases:
-        again = valuation_from_spec(v.spec_dict())
+    for v, spec in cases:
+        assert json.dumps(v.spec_dict()) == json.dumps(spec)
+        again = valuation_from_spec(spec)
         assert type(again) is type(v)
         assert again.value_table() == v.value_table()
+        assert again.spec_dict() == v.spec_dict()
+    # an absent key takes the class default; a key naming no field is ignored
+    assert valuation_from_spec({"form": "symmetric_step", "m": 3,
+                                "alpha_num": 2, "note": "x"}).den == 1
+
+
+def test_every_valuation_class_has_a_json_form():
+    concrete = {
+        cls for cls in vars(valuations).values()
+        if isinstance(cls, type) and issubclass(cls, Valuation)
+        and not inspect.isabstract(cls)
+    }
+    assert concrete == set(valuations._FORMS.values())
 
 
 def test_spec_declared_universe_size_checked():
@@ -421,3 +446,12 @@ def test_spec_errors():
         valuation_from_spec("additive")  # not a dict
     with pytest.raises(NotMonotone):
         valuation_from_spec({"form": "table", "values": [0, 2, 1, 1]})
+    for form in (["additive"], {"form": 1}, 3):  # not a string: unknown
+        with pytest.raises(ValueError, match="unknown valuation form"):
+            valuation_from_spec({"form": form, "weights": [1]})
+    with pytest.raises(ValueError, match=(
+            "valuation spec for 'symmetric_step' is missing 'alpha_num'")):
+        valuation_from_spec({"form": "symmetric_step", "m": 2, "num": 1})
+    with pytest.raises(ValueError, match="malformed 'table' valuation spec"):
+        valuation_from_spec({"form": "table", "values": 5})
+
