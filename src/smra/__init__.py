@@ -42,7 +42,6 @@ from .mechanism import (
     Draw,
     ReplayResult,
     RoundRecord,
-    masked_price_sums,
     read_trace_jsonl,
     replay_trace,
     run_auction,

@@ -27,7 +27,7 @@ from typing import Callable, IO, Optional, Sequence
 
 from .errors import (Divergence, InvalidBid, TraceMismatch, UniverseMismatch,
                      require_int)
-from .itemsets import items_of, mask_of, popcount_table
+from .itemsets import items_of, mask_of, popcount_table, subset_sums
 from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
@@ -151,15 +151,6 @@ def default_max_rounds(valuations: Sequence[Valuation]) -> int:
     m = valuations[0].universe_size
     top = max(v.value_table()[-1] for v in valuations)
     return len(valuations) * m * (top + 2)
-
-
-def masked_price_sums(prices: Sequence[int], m: int) -> list[int]:
-    """sums[mask] = total posted price of the bundle, for every mask."""
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask & (mask - 1)] + prices[low.bit_length() - 1]
-    return sums
 
 
 class _Column(Sequence):
@@ -372,7 +363,7 @@ def run_auction(
                         proposed.append(bid)
                         continue
                 if price_sums is None:
-                    price_sums = masked_price_sums(prices, m)
+                    price_sums = subset_sums(prices)
                 ctx = contexts[i]
                 if ctx is None:
                     ctx = contexts[i] = BidContext(

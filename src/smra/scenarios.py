@@ -81,6 +81,10 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "bidders", tuple(self.bidders))
         object.__setattr__(self, "events", tuple(self.events))
+        names = [e.name for e in self.events]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"scenario names event {name!r} twice")
         m = common_universe(self.valuations)
         if m != self.m:
             raise UniverseMismatch(f"bidders have m={m}, scenario has m={self.m}")
@@ -348,7 +352,10 @@ def build_scripted_partition(partition: Sequence) -> Scenario:
     allocation, every item at price 1."""
     parts = []
     for part in partition:
-        mask = part if isinstance(part, int) else mask_of(part)
+        try:
+            mask = part if isinstance(part, int) else mask_of(part)
+        except (TypeError, UniverseMismatch, ValueError) as exc:
+            raise InvalidPartition(str(exc)) from exc
         parts.append(require_int("part mask", mask, 1, InvalidPartition))
     if not parts:
         raise InvalidPartition("need at least one part")

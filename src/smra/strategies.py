@@ -31,6 +31,12 @@ SECURE_VARIANTS = ("incremented", "posted")
 LOCAL_STARTS = ("previous", "empty")
 
 
+def _require_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raise ValueError naming the option unless value is one of choices."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass(slots=True)
 class BidContext:
     """What one bidder observes when asked for a bid.
@@ -39,7 +45,8 @@ class BidContext:
     and own_bid_history are this bidder's holdings entering each round and
     the bids she made. value_table, price_sums and popcounts are
     mask-indexed lookup tables (worth of every bundle; posted price of
-    every bundle; bundle sizes). The runner always supplies them, and
+    every bundle, itemsets.subset_sums(prices); bundle sizes,
+    itemsets.popcount_table(m)). The runner always supplies them, and
     every rule prices bundles through them alone. The history sequences
     are live: they grow as rounds settle. price_history is the runner's
     list and must not be mutated; the two own histories are read-only
@@ -180,8 +187,7 @@ def locally_optimal_bid(ctx: BidContext, start: str = "previous") -> int:
     the empty bid, so the returned bid is either empty or strictly
     profitable; either way no single-item move can improve it.
     """
-    if start not in LOCAL_STARTS:
-        raise ValueError(f"start must be one of {LOCAL_STARTS}, got {start!r}")
+    _require_choice("start", start, LOCAL_STARTS)
     own = ctx.own_set
     comp = full_mask(ctx.m) & ~own
     if start == "previous" and ctx.own_bid_history:
@@ -219,8 +225,7 @@ def is_secure(ctx: BidContext, bid: int, variant: str = "incremented") -> bool:
     newly bid items at posted price plus one increment (the price the
     bidder has offered to pay). The "posted" variant drops the increment.
     """
-    if variant not in SECURE_VARIANTS:
-        raise ValueError(f"variant must be one of {SECURE_VARIANTS}, got {variant!r}")
+    _require_choice("variant", variant, SECURE_VARIANTS)
     increment = variant == "incremented"
     own = ctx.own_set
     reach = own | bid
@@ -243,8 +248,7 @@ def profit_max_secure_bid(ctx: BidContext, variant: str = "incremented") -> int:
     Raises InsecureProvisionalState when even the empty bid is insecure,
     i.e. the holdings already contain a subset priced above its worth.
     """
-    if variant not in SECURE_VARIANTS:
-        raise ValueError(f"variant must be one of {SECURE_VARIANTS}, got {variant!r}")
+    _require_choice("variant", variant, SECURE_VARIANTS)
     own = ctx.own_set
     m = ctx.m
     comp = full_mask(m) & ~own
@@ -346,10 +350,7 @@ class LocallyOptimalStrategy(Strategy):
     kind = "locally_optimal"
 
     def __post_init__(self):
-        if self.start not in LOCAL_STARTS:
-            raise ValueError(
-                f"start must be one of {LOCAL_STARTS}, got {self.start!r}"
-            )
+        _require_choice("start", self.start, LOCAL_STARTS)
 
     @property
     def depends_on(self) -> str:
@@ -369,10 +370,7 @@ class SecureProfitMaxStrategy(Strategy):
     depends_on = "state"
 
     def __post_init__(self):
-        if self.variant not in SECURE_VARIANTS:
-            raise ValueError(
-                f"variant must be one of {SECURE_VARIANTS}, got {self.variant!r}"
-            )
+        _require_choice("variant", self.variant, SECURE_VARIANTS)
 
     def propose(self, ctx: BidContext) -> int:
         return profit_max_secure_bid(ctx, self.variant)

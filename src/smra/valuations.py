@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 from .errors import (GenerationFailed, NotMonotone, OracleTooLarge,
                      UniverseMismatch, require_int)
-from .itemsets import full_mask, items_of
+from .itemsets import full_mask, items_of, iter_items, subset_sums
 
 RationalLike = Union[int, Fraction]
 
@@ -166,13 +166,8 @@ class AdditiveValuation(_WeightedValuation):
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
-        total = 0
         w = self.weights
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return sum(w[j] for j in iter_items(mask))
 
 
 class UnitDemandValuation(_WeightedValuation):
@@ -182,15 +177,8 @@ class UnitDemandValuation(_WeightedValuation):
 
     def value(self, mask: int) -> int:
         self.check_mask(mask)
-        best = 0
         w = self.weights
-        while mask:
-            low = mask & -mask
-            x = w[low.bit_length() - 1]
-            if x > best:
-                best = x
-            mask ^= low
-        return best
+        return max((w[j] for j in iter_items(mask)), default=0)
 
 
 @dataclass(frozen=True)
@@ -517,10 +505,7 @@ def random_near_submodular(
         shrink = attempt // 25  # progressively smaller values on retries
         w_hi = max(0, 2 - shrink)
         weights = [rng.randint(0, w_hi) for _ in range(m)]
-        table = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            table[mask] = table[mask & (mask - 1)] + weights[low.bit_length() - 1]
+        table = subset_sums(weights)
 
         if m >= 2:
             lo = 0 if shrink >= 3 else 1

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import inf
 from typing import Optional, Sequence
 
-from smra import BidContext, RationalityReport, Valuation, masked_price_sums
+from smra import BidContext, RationalityReport, Valuation
 from smra.itemsets import (
-    items_of, iter_items, mask_size, popcount_table, submasks,
+    items_of, iter_items, mask_size, popcount_table, submasks, subset_sums,
 )
 from smra.mechanism import AuctionOutcome
 
@@ -348,7 +348,7 @@ def make_ctx(
         own_bid_history=own_bid_history,
         m=m,
         value_table=valuation.value_table(),
-        price_sums=masked_price_sums(prices, m),
+        price_sums=subset_sums(prices),
         popcounts=popcount_table(m),
     )
 

@@ -1,8 +1,9 @@
 """Every imported name in the package and its tests is used, every
 private module-level name and private method in the package is
 referenced somewhere in it, only errors.require_int tests whether a
-value is an int, only mechanism._record builds a round's record, and
-each valuation form name is written once, on its class's `form =` line.
+value is an int, only mechanism._record builds a round's record, each
+valuation form name is written once, on its class's `form =` line, and
+per-item sums are walked by hand only in the rationality scan.
 
 No linter ships with the project, so these scans are the guard: an import
 that nothing references fails here, and so does a `_name` function, class,
@@ -10,7 +11,9 @@ constant or method that no module of the package uses any more, a
 `type(x) is int` or `isinstance(x, bool)` test outside errors.py, or a
 `RoundRecord(...)` or `Draw(...)` call outside mechanism._record and the
 trace reader, or a string literal equal to a valuation form name (such
-as "symmetric_step") anywhere but that line. The package's __init__.py is
+as "symmetric_step") anywhere but that line, or a subscript by a low
+bit's index (`w[low.bit_length() - 1]`) or by `mask & (mask - 1)`
+outside RationalityScan._examine. The package's __init__.py is
 exempt from the import scan, since its imports are the public
 re-exports.
 """
@@ -235,3 +238,67 @@ def test_form_names_appear_only_on_their_class_line(path):
     assert "symmetric_step" in FORM_NAMES
     assert form_name_literals(path.read_text(encoding="utf-8"),
                               FORM_NAMES) == []
+
+
+# Per-mask tables of per-item sums come from itemsets.subset_sums; the
+# one hand-rolled doubling left is the rationality scan's hot path.
+LOW_BIT_WALKERS = {"RationalityScan._examine"}
+
+
+def _is_low_bit_index(node: ast.AST) -> bool:
+    """`x.bit_length() - 1` or `x & (x - 1)`."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Sub):
+        call = node.left
+        return (isinstance(node.right, ast.Constant) and node.right.value == 1
+                and isinstance(call, ast.Call) and not call.args
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "bit_length")
+    return (isinstance(node.op, ast.BitAnd) and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Sub)
+            and isinstance(node.right.right, ast.Constant)
+            and node.right.right.value == 1
+            and ast.unparse(node.left) == ast.unparse(node.right.left))
+
+
+def low_bit_subscripts(source: str, walkers: set[str]) -> list[str]:
+    """Subscripts by a low bit's index or by `mask & (mask - 1)` outside
+    the module-level functions and `Class.method`s named in `walkers`, in
+    line order."""
+    scopes = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{getattr(item, 'name', '')}", item)
+                       for item in top.body]
+        else:
+            scopes.append((getattr(top, "name", None), top))
+    found = [
+        (node.lineno, node.col_offset,
+         f"{ast.unparse(node)} (line {node.lineno})")
+        for name, scope in scopes if name not in walkers
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Subscript) and _is_low_bit_index(node.slice)
+    ]
+    return [text for _, _, text in sorted(found)]
+
+
+def test_scan_sees_a_hand_rolled_low_bit_walk():
+    source = ("def walk(w, mask):\n    low = mask & -mask\n"
+              "    return w[low.bit_length() - 1] + t[mask & (mask - 1)]\n"
+              "class Scan:\n    def _examine(self, p, low):\n"
+              "        return p[low.bit_length() - 1]\n"
+              "    def other(self, p, m, n):\n"
+              "        return p[m & (n - 1)] + p[m.bit_length()] + p[m & (m - 1)]\n"
+              "x = p[(1 << 3).bit_length() - 1]\n")
+    assert low_bit_subscripts(source, {"Scan._examine"}) == [
+        "w[low.bit_length() - 1] (line 3)", "t[mask & mask - 1] (line 3)",
+        "p[m & m - 1] (line 8)", "p[(1 << 3).bit_length() - 1] (line 9)"]
+    assert low_bit_subscripts(source, set())[2] == (
+        "p[low.bit_length() - 1] (line 6)")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_per_item_sums_come_from_subset_sums(path):
+    assert low_bit_subscripts(path.read_text(encoding="utf-8"),
+                              LOW_BIT_WALKERS) == []

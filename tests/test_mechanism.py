@@ -24,7 +24,6 @@ from smra import (
     TraceMismatch,
     TruthfulStrategy,
     UniverseMismatch,
-    masked_price_sums,
     random_near_submodular,
     read_trace_jsonl,
     replay_trace,
@@ -35,7 +34,7 @@ from smra import (
     write_trace_jsonl,
 )
 from smra import mechanism, strategies
-from smra.itemsets import mask_of, popcount_table
+from smra.itemsets import items_of, mask_of, popcount_table, subset_sums
 from smra.mechanism import PreparedBidders, default_max_rounds
 from smra.scenarios import build_bad_pair, build_local_tight, build_truthful_tight
 
@@ -221,9 +220,36 @@ def test_default_round_budget():
     assert default_max_rounds(sc.valuations) == 2 * 2 * 12
 
 
-def test_masked_price_sums():
-    assert masked_price_sums((3, 5), 2) == [0, 3, 5, 8]
-    assert masked_price_sums((0,), 1) == [0, 0]
+def test_subset_sums():
+    assert subset_sums((3, 5)) == [0, 3, 5, 8]
+    assert subset_sums((0,)) == [0, 0]
+    assert subset_sums(()) == [0]
+    rng = random.Random(24)
+    for m in range(1, 11):
+        w = [rng.randint(0, 50) for _ in range(m)]
+        assert subset_sums(w) == [
+            sum(w[j] for j in items_of(mask)) for mask in range(1 << m)]
+
+
+def test_engine_price_sums_price_every_bundle():
+    # a table built in the wrong order would misprice some bundle
+    m = 8
+    rng = random.Random(8)
+    vals = tuple(AdditiveValuation(tuple(rng.randint(1, 6) for _ in range(m)))
+                 for _ in range(3))
+    checked = []
+
+    def checking_truthful(ctx):
+        prices = ctx.prices
+        assert [ctx.price_sums[mask] for mask in range(1 << m)] == [
+            sum(prices[j] for j in items_of(mask)) for mask in range(1 << m)]
+        checked.append(ctx.t)
+        return truthful_bid(ctx)
+
+    outcome = run_auction(vals, (CallableStrategy(checking_truthful),) * 3,
+                          seed=1)
+    assert outcome.rounds >= 4 and len(checked) == 3 * (outcome.rounds + 1)
+    assert len(set(outcome.prices)) > 2  # prices differ from item to item
 
 
 def test_popcount_table_is_built_once_per_size():
@@ -239,6 +265,8 @@ def test_mask_of_takes_only_integer_items():
             mask_of([bad], 3)
     with pytest.raises(UniverseMismatch):
         mask_of([3], 3)
+    with pytest.raises(UniverseMismatch, match=r"^item -1 is negative$"):
+        mask_of([-1])
     with pytest.raises(ValueError, match=r"item list \[2, 0, 2\] names item 2 twice"):
         mask_of([2, 0, 2], 3)
 

@@ -21,6 +21,7 @@ from smra import (
     SecureProfitMaxStrategy,
     TableValuation,
     TargetPairValuation,
+    TrialEvent,
     UniverseMismatch,
     aggregate_rows,
     build_builtin,
@@ -159,8 +160,12 @@ def test_partition_validation():
         build_scripted_partition([])
     with pytest.raises(InvalidPartition):  # a bool is not the mask 0b1
         build_scripted_partition([True])
-    with pytest.raises(ValueError, match="names item 0 twice"):
+    with pytest.raises(InvalidPartition, match="names item 0 twice"):
         build_scripted_partition([[0, 0], [1]])
+    with pytest.raises(InvalidPartition, match="item -1 is negative"):
+        build_scripted_partition([[-1]])
+    with pytest.raises(InvalidPartition, match="item must be an int, got 'x'"):
+        build_scripted_partition([[0, "x"]])
 
 
 def test_scenario_validation():
@@ -177,6 +182,15 @@ def test_scenario_validation():
                 BidderSpec(AdditiveValuation((1,)), ScriptedStrategy(())),
             ),
         )
+
+
+def test_scenario_refuses_duplicate_event_names():
+    # two events named "a" used to give CSV columns event_a,event_a and
+    # one count in the summary
+    events = (TrialEvent("a", lambda outcome, w: True),
+              TrialEvent("a", lambda outcome, w: False))
+    with pytest.raises(ValueError, match="scenario names event 'a' twice"):
+        dataclasses.replace(build_bad_pair(10), events=events)
 
 
 def test_builtin_lookup():

@@ -39,6 +39,24 @@ PAIR = PairBonusValuation(2, 1, 10)  # singletons worth 1, the pair worth 10
 CLUSTER = TableValuation((0, 2, 2, 6))  # complementary pair: 2/2/6
 
 
+BAD_START = "start must be one of ('previous', 'empty'), got 'last'"
+BAD_VARIANT = "variant must be one of ('incremented', 'posted'), got 'loose'"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: locally_optimal_bid(ctx, "last"), BAD_START),
+    (lambda ctx: LocallyOptimalStrategy("last"), BAD_START),
+    (lambda ctx: is_secure(ctx, 0, "loose"), BAD_VARIANT),
+    (lambda ctx: profit_max_secure_bid(ctx, "loose"), BAD_VARIANT),
+    (lambda ctx: SecureProfitMaxStrategy("loose"), BAD_VARIANT),
+], ids=["locally_optimal_bid", "LocallyOptimalStrategy", "is_secure",
+        "profit_max_secure_bid", "SecureProfitMaxStrategy"])
+def test_rule_options_are_checked(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call(make_ctx(PAIR, (0, 0)))
+    assert str(exc_info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # BidContext arithmetic
 
