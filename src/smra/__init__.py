@@ -74,7 +74,6 @@ from .oracle import (
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
-    BidderSpec,
     Scenario,
     TrialEvent,
     TrialRow,

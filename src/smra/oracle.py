@@ -16,7 +16,7 @@ from math import inf
 from operator import le, sub
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidAllocation, OracleTooLarge, require_int
+from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch, require_int
 from .itemsets import items_of
 from .mechanism import AuctionOutcome
 from .valuations import Valuation, common_universe, ratio_text
@@ -355,9 +355,18 @@ def measure_rationality(
     price (a zero value there means unbounded exposure). Holdings larger
     than subset_cap items are checked at the full set and singletons
     only; under TABLE_LIMIT = 20 the default cap of 20 never triggers.
+    A bidder count other than the trace's raises ValueError, and a
+    universe size other than the trace's raises UniverseMismatch.
     """
     if outcome.records is None:
         raise ValueError("outcome carries no trace; run with record_trace=True")
+    n, m = len(outcome.allocation), len(outcome.prices)
+    if len(valuations) != n:
+        raise ValueError(f"{len(valuations)} valuations for a trace of {n} bidders")
+    if common_universe(valuations) != m:
+        raise UniverseMismatch(
+            f"valuations have m={valuations[0].universe_size}, the trace has m={m}"
+        )
     scan = RationalityScan(valuations, subset_cap)
     for record in outcome.records:
         scan.update(record.t, record.prices_after, record.provisional)

@@ -1,8 +1,9 @@
 """Named auction scenarios and the Monte Carlo trial harness.
 
-A Scenario bundles a universe size, per-bidder (valuation, strategy)
-pairs, and optional named per-trial events (predicates evaluated on each
-outcome, surfaced as CSV flag columns and summary frequencies). Builders
+A Scenario bundles a universe size, the bidders' valuations and
+strategies as two parallel tuples, and optional named per-trial events
+(predicates evaluated on each outcome, surfaced as CSV flag columns and
+summary frequencies). Builders
 construct the classic instability instances: the exposure coin-flip, the
 price-war crowds that pin the welfare bounds, the superadditive bidder
 frozen out by security, one-shot scripted partitions, and the overbidding
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from math import inf
@@ -52,12 +53,6 @@ from .valuations import (
 
 
 @dataclass(frozen=True)
-class BidderSpec:
-    valuation: Valuation
-    strategy: Strategy
-
-
-@dataclass(frozen=True)
 class TrialEvent:
     """Named per-trial predicate: check(outcome, welfare_value) -> bool."""
 
@@ -67,20 +62,24 @@ class TrialEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A bidder list and its events. The valuations and strategies tuples
-    are built once, and prepared (their PreparedBidders: memos and
-    segments) on first use, and each lasts as long as the scenario. A
-    pickle keeps only the fields, so each pool worker builds its own."""
+    """A bidder list and its events: bidder i has valuations[i] and bids
+    by strategies[i]. Both are stored as tuples, which must be of one
+    length. prepared (their PreparedBidders: memos and segments) is built
+    on first use and lasts as long as the scenario. A pickle keeps only
+    the fields, so each pool worker builds its own."""
 
     name: str
     m: int
-    bidders: tuple[BidderSpec, ...]
+    valuations: tuple[Valuation, ...]
+    strategies: tuple[Strategy, ...]
     events: tuple[TrialEvent, ...] = ()
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "bidders", tuple(self.bidders))
-        object.__setattr__(self, "events", tuple(self.events))
+        for name in ("valuations", "strategies", "events"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.valuations) != len(self.strategies):
+            raise ValueError(f"{len(self.valuations)} valuations but "
+                             f"{len(self.strategies)} strategies")
         names = [e.name for e in self.events]
         for name in names:
             if names.count(name) > 1:
@@ -89,14 +88,6 @@ class Scenario:
         if m != self.m:
             raise UniverseMismatch(f"bidders have m={m}, scenario has m={self.m}")
         require_int("m", self.m)  # equal to m, yet maybe True for 1
-
-    @cached_property
-    def valuations(self) -> tuple[Valuation, ...]:
-        return tuple(b.valuation for b in self.bidders)
-
-    @cached_property
-    def strategies(self) -> tuple[Strategy, ...]:
-        return tuple(b.strategy for b in self.bidders)
 
     @cached_property
     def prepared(self) -> PreparedBidders:
@@ -110,11 +101,8 @@ class Scenario:
             "name": self.name,
             "m": self.m,
             "bidders": [
-                {
-                    "valuation": b.valuation.spec_dict(),
-                    "strategy": b.strategy.spec_dict(),
-                }
-                for b in self.bidders
+                {"valuation": v.spec_dict(), "strategy": s.spec_dict()}
+                for v, s in zip(self.valuations, self.strategies)
             ],
         }
 
@@ -126,23 +114,16 @@ class Scenario:
         """Copy of the scenario with options applied to matching strategies."""
         if local_start is None and secure_variant is None:
             return self
-        bidders = []
-        for b in self.bidders:
-            strategy = b.strategy
+        strategies = []
+        for strategy in self.strategies:
             if local_start is not None and isinstance(strategy, LocallyOptimalStrategy):
                 strategy = LocallyOptimalStrategy(local_start)
             if secure_variant is not None and isinstance(
                 strategy, SecureProfitMaxStrategy
             ):
                 strategy = SecureProfitMaxStrategy(secure_variant)
-            bidders.append(BidderSpec(b.valuation, strategy))
-        return Scenario(
-            name=self.name,
-            m=self.m,
-            bidders=tuple(bidders),
-            events=self.events,
-            metadata=dict(self.metadata),
-        )
+            strategies.append(strategy)
+        return replace(self, strategies=strategies)
 
 
 def scenario_from_spec(spec: dict) -> Scenario:
@@ -157,18 +138,13 @@ def scenario_from_spec(spec: dict) -> Scenario:
     m = require_int("m", spec["m"], 1)
     if not isinstance(spec["bidders"], list):
         raise ValueError(f"bidders must be a list, got {spec['bidders']!r}")
-    bidders = []
+    valuations, strategies = [], []
     for i, b in enumerate(spec["bidders"]):
         if not isinstance(b, dict) or "valuation" not in b or "strategy" not in b:
             raise ValueError(f"bidder {i} needs 'valuation' and 'strategy'")
-        valuation = valuation_from_spec(b["valuation"])
-        strategy = strategy_from_spec(b["strategy"], m)
-        bidders.append(BidderSpec(valuation, strategy))
-    return Scenario(
-        name=spec["name"],
-        m=m,
-        bidders=tuple(bidders),
-    )
+        valuations.append(valuation_from_spec(b["valuation"]))
+        strategies.append(strategy_from_spec(b["strategy"], m))
+    return Scenario(spec["name"], m, valuations, strategies)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -239,14 +215,12 @@ def build_bad_pair(M: int = 100) -> Scenario:
     bidding truthfully: a coin flip between a welfare-2 split and a
     welfare-M sweep."""
     require_int("M", M, 2)
-    valuation = PairBonusValuation(m=2, unit=1, pair=M)
-    bidders = tuple(BidderSpec(valuation, TruthfulStrategy()) for _ in range(2))
     return Scenario(
         name="bad_pair",
         m=2,
-        bidders=bidders,
+        valuations=(PairBonusValuation(m=2, unit=1, pair=M),) * 2,
+        strategies=(TruthfulStrategy(),) * 2,
         events=(TrialEvent("welfare_2", partial(_ev_welfare_equals, 2)),),
-        metadata={"family": "bad_pair", "M": M},
     )
 
 
@@ -258,14 +232,12 @@ def build_truthful_tight(k: int = 4, alpha: int = 3, L: int = 60) -> Scenario:
         require_int(name, val, least)
     if L <= k:
         raise ValueError(f"need more bidders than items (L > k), got L={L}, k={k}")
-    valuation = SymmetricStepValuation(m=k, num=alpha, den=1)
-    bidders = tuple(BidderSpec(valuation, TruthfulStrategy()) for _ in range(L))
     return Scenario(
         name="truthful_tight",
         m=k,
-        bidders=bidders,
+        valuations=(SymmetricStepValuation(m=k, num=alpha, den=1),) * L,
+        strategies=(TruthfulStrategy(),) * L,
         events=(TrialEvent("distinct_winners", partial(_ev_distinct_winners)),),
-        metadata={"family": "truthful_tight", "k": k, "alpha": alpha, "L": L},
     )
 
 
@@ -296,31 +268,26 @@ def build_local_tight(
             f"k*n+1 = {m} items is beyond the bundle-table limit ({TABLE_LIMIT})"
         )
     z = m - 1
-    bidders = []
+    valuations = []
     for i in range(n):
         block = 0
         for j in range(i * k, (i + 1) * k):
             block |= 1 << j
-        bidders.append(
-            BidderSpec(_cluster_table(m, block, alpha), LocallyOptimalStrategy())
-        )
+        valuations.append(_cluster_table(m, block, alpha))
     for x in range(k * n):
-        pair_valuation = TargetPairValuation(
+        pair = TargetPairValuation(
             m=m, target=x, special=z, unit=1, special_value=H, bonus=alpha
         )
-        for _ in range(L):
-            bidders.append(BidderSpec(pair_valuation, LocallyOptimalStrategy()))
+        valuations += [pair] * L
     return Scenario(
         name="local_tight",
         m=m,
-        bidders=tuple(bidders),
+        valuations=valuations,
+        strategies=(LocallyOptimalStrategy(),) * len(valuations),
         events=(
             TrialEvent("clusters_empty", partial(_ev_first_n_empty, n)),
             TrialEvent("pairs_sweep", partial(_ev_sweep_by_rest, n)),
         ),
-        metadata={
-            "family": "local_tight", "k": k, "n": n, "alpha": alpha, "H": H, "L": L,
-        },
     )
 
 
@@ -329,20 +296,16 @@ def build_superadditive(M: int = 50) -> Scenario:
     one bidder valuing the pair at 2M but singles at only 1. Everyone bids
     securely, so the pair bidder goes home empty no matter how large M is."""
     require_int("M", M, 2)
-    bidders = (
-        BidderSpec(UnitDemandValuation((2, 0)), SecureProfitMaxStrategy()),
-        BidderSpec(UnitDemandValuation((0, 2)), SecureProfitMaxStrategy()),
-        BidderSpec(PairBonusValuation(m=2, unit=1, pair=2 * M), SecureProfitMaxStrategy()),
-    )
     return Scenario(
         name="superadditive",
         m=2,
-        bidders=bidders,
+        valuations=(UnitDemandValuation((2, 0)), UnitDemandValuation((0, 2)),
+                    PairBonusValuation(m=2, unit=1, pair=2 * M)),
+        strategies=(SecureProfitMaxStrategy(),) * 3,
         events=(
             TrialEvent("bundler_empty", partial(_ev_bidder_empty, 2)),
             TrialEvent("welfare_4", partial(_ev_welfare_equals, 4)),
         ),
-        metadata={"family": "superadditive", "M": M},
     )
 
 
@@ -367,22 +330,15 @@ def build_scripted_partition(partition: Sequence) -> Scenario:
         seen |= mask
     m = seen.bit_length()
     parts = tuple(parts)
-    bidders = tuple(
-        BidderSpec(
-            AdditiveValuation(tuple(1 if (mask >> j) & 1 else 0 for j in range(m))),
-            ScriptedStrategy((mask,)),
-        )
-        for mask in parts
-    )
     return Scenario(
         name="scripted_partition",
         m=m,
-        bidders=bidders,
+        valuations=[AdditiveValuation(tuple((mask >> j) & 1 for j in range(m)))
+                    for mask in parts],
+        strategies=[ScriptedStrategy((mask,)) for mask in parts],
         events=(
             TrialEvent("matches_partition", partial(_ev_matches_allocation, parts)),
         ),
-        metadata={"family": "scripted_partition",
-                  "parts": [list(items_of(p)) for p in parts]},
     )
 
 
@@ -392,37 +348,24 @@ def build_nonsecure_punishment() -> Scenario:
     total price of 2, locking in a loss. Six additive copy-bidders value
     only the third item and bid securely, running its price up to their
     common value without ever overpaying."""
-    overbidder_values = tuple(
+    overbidder = TableValuation(tuple(
         1 if mask & 0b011 else 0 for mask in range(8)
-    )
-    overbidder = BidderSpec(
-        TableValuation(overbidder_values), ScriptedStrategy((0b011,))
-    )
+    ))
     copy_valuation = AdditiveValuation((0, 0, 10))
-    copies = tuple(
-        BidderSpec(copy_valuation, SecureProfitMaxStrategy()) for _ in range(6)
-    )
-    bidders = (overbidder,) + copies
-    copy_indices = tuple(range(1, 7))
     return Scenario(
         name="punishment",
         m=3,
-        bidders=bidders,
+        valuations=(overbidder,) + (copy_valuation,) * 6,
+        strategies=(ScriptedStrategy((0b011,)),) + (SecureProfitMaxStrategy(),) * 6,
         events=(
             TrialEvent(
-                "scripted_overpays",
-                partial(_ev_bidder_overpays, 0, bidders[0].valuation),
+                "scripted_overpays", partial(_ev_bidder_overpays, 0, overbidder)
             ),
             TrialEvent(
                 "copies_no_loss",
-                partial(
-                    _ev_none_overpay,
-                    copy_indices,
-                    tuple(copy_valuation for _ in copy_indices),
-                ),
+                partial(_ev_none_overpay, tuple(range(1, 7)), (copy_valuation,) * 6),
             ),
         ),
-        metadata={"family": "punishment"},
     )
 
 

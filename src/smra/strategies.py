@@ -78,24 +78,6 @@ class BidContext:
     price_sums: Sequence[int]
     popcounts: Sequence[int]
 
-    def value(self, mask: int) -> int:
-        return self.value_table[mask]
-
-    def posted_price(self, mask: int) -> int:
-        return self.price_sums[mask]
-
-    def incremented_price(self, mask: int) -> int:
-        """What winning the whole bid would cost: posted + 1 per item."""
-        return self.price_sums[mask] + self.popcounts[mask]
-
-    def surplus(self, bid: int) -> int:
-        """Conditional surplus of a bid on top of current holdings."""
-        return (
-            self.value(self.own_set | bid)
-            - self.incremented_price(bid)
-            - self.value(self.own_set)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Truthful bidding
@@ -195,7 +177,7 @@ def locally_optimal_bid(ctx: BidContext, start: str = "previous") -> int:
     else:
         first = 0
     bid, u = _climb(ctx, first, comp, own)
-    if bid and u <= ctx.value(own):
+    if bid and u <= ctx.value_table[own]:
         bid, _ = _climb(ctx, 0, comp, own)
     return bid
 

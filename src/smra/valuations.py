@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 from .errors import (GenerationFailed, NotMonotone, OracleTooLarge,
                      UniverseMismatch, require_int)
-from .itemsets import full_mask, items_of, iter_items, subset_sums
+from .itemsets import items_of, iter_items, subset_sums
 
 RationalLike = Union[int, Fraction]
 
@@ -71,10 +71,6 @@ class Valuation(ABC):
             table = tuple(self.value(mask) for mask in range(1 << m))
             object.__setattr__(self, "_table", table)
         return table
-
-    def max_value(self) -> int:
-        """Worth of the full bundle (the largest value, by monotonicity)."""
-        return self.value(full_mask(self.universe_size))
 
     def spec_dict(self) -> dict:
         """JSON-ready description; inverse of valuation_from_spec. The

@@ -312,6 +312,21 @@ def test_rationality_requires_a_trace():
         measure_rationality(outcome, sc.valuations)
 
 
+def test_rationality_refuses_a_bidder_list_that_does_not_match_the_trace():
+    sc = build_bad_pair(10)
+    outcome = run_auction(sc.valuations, sc.strategies, seed=1)
+    # bidder i of the trace is scored by valuations[i]: a list of another
+    # length or over another universe cannot be matched to the records
+    with pytest.raises(ValueError, match="^1 valuations for a trace of 2 bidders$"):
+        measure_rationality(outcome, sc.valuations[:1])
+    with pytest.raises(ValueError, match="^4 valuations for a trace of 2 bidders$"):
+        measure_rationality(outcome, sc.valuations * 2)
+    with pytest.raises(UniverseMismatch,
+                       match="^valuations have m=3, the trace has m=2$"):
+        measure_rationality(outcome, (AdditiveValuation((1, 1, 1)),) * 2)
+    assert measure_rationality(outcome, sc.valuations).lam >= 1
+
+
 def test_rationality_report_dict_encoding():
     report = RationalityReport(
         lam=Fraction(3, 2),

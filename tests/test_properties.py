@@ -107,7 +107,7 @@ def test_generator_output_is_certified_and_deterministic(m, alpha, value_cap, se
     v2 = random_near_submodular(m, alpha, value_cap, seed)
     assert v1.value_table() == v2.value_table()
     assert is_alpha_near_submodular(v1, alpha)
-    assert 0 < v1.max_value() <= value_cap
+    assert 0 < v1.value_table()[-1] <= value_cap
 
 
 # ---------------------------------------------------------------------------

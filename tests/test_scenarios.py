@@ -12,7 +12,6 @@ import pytest
 from helpers import reference_measure_rationality
 from smra import (
     AdditiveValuation,
-    BidderSpec,
     Divergence,
     InvalidPartition,
     LocallyOptimalStrategy,
@@ -55,19 +54,19 @@ from smra.scenarios import (
 
 def test_bad_pair_shape():
     sc = build_bad_pair(100)
-    assert (sc.name, sc.m, len(sc.bidders)) == ("bad_pair", 2, 2)
+    assert (sc.name, sc.m, len(sc.valuations)) == ("bad_pair", 2, 2)
     assert [ev.name for ev in sc.events] == ["welfare_2"]
-    assert sc.metadata["M"] == 100
+    assert sc.valuations[0].pair == 100
     # the exposure gap: singles worth 1, the pair worth M
-    assert degree_of_submodularity(sc.bidders[0].valuation).degree == Fraction(1, 99)
-    assert degree_of_submodularity(build_bad_pair(2).bidders[0].valuation).degree == 1
+    assert degree_of_submodularity(sc.valuations[0]).degree == Fraction(1, 99)
+    assert degree_of_submodularity(build_bad_pair(2).valuations[0]).degree == 1
 
 
 def test_truthful_tight_shape():
     sc = build_truthful_tight(4, 3, 60)
-    assert (sc.name, sc.m, len(sc.bidders)) == ("truthful_tight", 4, 60)
+    assert (sc.name, sc.m, len(sc.valuations)) == ("truthful_tight", 4, 60)
     assert [ev.name for ev in sc.events] == ["distinct_winners"]
-    v = sc.bidders[0].valuation
+    v = sc.valuations[0]
     assert [v.value((1 << s) - 1) for s in range(5)] == [0, 1, 4, 7, 10]
     report = degree_of_submodularity(v)
     assert report.degree == Fraction(1, 3)
@@ -77,15 +76,15 @@ def test_truthful_tight_shape():
 def test_local_tight_shape():
     sc = build_local_tight(2, 2, 2, 3, 5)
     assert (sc.name, sc.m) == ("local_tight", 5)
-    assert len(sc.bidders) == 2 + 4 * 5  # n clusters + L copies per block item
+    assert len(sc.valuations) == 2 + 4 * 5  # n clusters + L copies per block item
     assert [ev.name for ev in sc.events] == ["clusters_empty", "pairs_sweep"]
-    cluster = sc.bidders[0].valuation
+    cluster = sc.valuations[0]
     assert isinstance(cluster, TableValuation)
     assert cluster.value(0b00001) == 2  # alpha
     assert cluster.value(0b00011) == 6  # alpha^2 + alpha
     assert cluster.value(0b00100) == 0  # outside its block
     assert degree_of_submodularity(cluster).alpha == Fraction(2)
-    pair = sc.bidders[2].valuation
+    pair = sc.valuations[2]
     assert isinstance(pair, TargetPairValuation)
     assert pair.value(1 << 0) == 1  # its block item
     assert pair.value(1 << 4) == 3  # the shared last item
@@ -96,36 +95,36 @@ def test_local_tight_shape():
 def test_local_tight_builds_fifteen_items():
     sc = build_local_tight(k=7, n=2)
     assert sc.m == 15
-    assert len(sc.bidders[0].valuation.value_table()) == 1 << 15
+    assert len(sc.valuations[0].value_table()) == 1 << 15
 
 
 def test_superadditive_shape():
     sc = build_superadditive(50)
-    assert (sc.name, sc.m, len(sc.bidders)) == ("superadditive", 2, 3)
+    assert (sc.name, sc.m, len(sc.valuations)) == ("superadditive", 2, 3)
     assert [ev.name for ev in sc.events] == ["bundler_empty", "welfare_4"]
-    bundler = sc.bidders[2].valuation
+    bundler = sc.valuations[2]
     assert not is_alpha_near_submodular(bundler, 98)  # needs 2M - 1
     assert is_alpha_near_submodular(bundler, 99)
 
 
 def test_scripted_partition_shape():
     sc = build_scripted_partition([{0}, {1, 2}])
-    assert (sc.name, sc.m, len(sc.bidders)) == ("scripted_partition", 3, 2)
-    assert sc.bidders[0].strategy == ScriptedStrategy((0b001,))
-    assert sc.bidders[1].valuation.value(0b110) == 2
-    assert sc.bidders[1].valuation.value(0b001) == 0
+    assert (sc.name, sc.m, len(sc.valuations)) == ("scripted_partition", 3, 2)
+    assert sc.strategies[0] == ScriptedStrategy((0b001,))
+    assert sc.valuations[1].value(0b110) == 2
+    assert sc.valuations[1].value(0b001) == 0
     # raw masks work too, and unassigned low items just widen the universe
     gappy = build_scripted_partition([0b100])
     assert gappy.m == 3
-    assert gappy.metadata["parts"] == [[2]]
+    assert [s.script for s in gappy.strategies] == [(0b100,)]
 
 
 def test_punishment_shape():
     sc = build_nonsecure_punishment()
-    assert (sc.name, sc.m, len(sc.bidders)) == ("punishment", 3, 7)
+    assert (sc.name, sc.m, len(sc.valuations)) == ("punishment", 3, 7)
     assert [ev.name for ev in sc.events] == ["scripted_overpays", "copies_no_loss"]
-    assert sc.bidders[0].valuation.value(0b011) == 1
-    assert sc.bidders[1].valuation.value(0b100) == 10
+    assert sc.valuations[0].value(0b011) == 1
+    assert sc.valuations[1].value(0b100) == 10
 
 
 @pytest.mark.parametrize(
@@ -170,18 +169,24 @@ def test_partition_validation():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(name="empty", m=1, bidders=())
-    one_item = (BidderSpec(AdditiveValuation((1,)), ScriptedStrategy(())),)
+        Scenario(name="empty", m=1, valuations=(), strategies=())
+    one_item = (AdditiveValuation((1,)),)
     with pytest.raises(ValueError, match="m must be an int"):
-        Scenario(name="bool", m=True, bidders=one_item)
+        Scenario("bool", True, one_item, (ScriptedStrategy(()),))
     with pytest.raises(UniverseMismatch):
-        Scenario(
-            name="mixed",
-            m=2,
-            bidders=(
-                BidderSpec(AdditiveValuation((1,)), ScriptedStrategy(())),
-            ),
-        )
+        Scenario("mixed", 2, one_item, (ScriptedStrategy(()),))
+
+
+def test_scenario_fields_are_the_two_bidder_tuples():
+    assert [f.name for f in dataclasses.fields(Scenario)] == [
+        "name", "m", "valuations", "strategies", "events",
+    ]
+    sc = Scenario("lists", 1, [AdditiveValuation((1,))], [ScriptedStrategy(())])
+    assert isinstance(sc.valuations, tuple) and isinstance(sc.strategies, tuple)
+    with pytest.raises(ValueError, match="2 valuations but 1 strategies"):
+        Scenario("short", 1, (AdditiveValuation((1,)),) * 2, (ScriptedStrategy(()),))
+    with pytest.raises(ValueError, match="1 valuations but 3 strategies"):
+        dataclasses.replace(sc, strategies=(ScriptedStrategy(()),) * 3)
 
 
 def test_scenario_refuses_duplicate_event_names():
@@ -198,8 +203,8 @@ def test_builtin_lookup():
         "bad_pair", "truthful_tight", "local_tight", "superadditive",
         "lemma4", "punishment",
     }
-    assert build_builtin("bad_pair").metadata["M"] == 100
-    assert build_builtin("bad_pair", M=7).metadata["M"] == 7
+    assert build_builtin("bad_pair").valuations[0].pair == 100
+    assert build_builtin("bad_pair", M=7).valuations[0].pair == 7
     # the lemma4 alias is the frozen-out-bundler instance under another name
     alias = build_builtin("lemma4", M=10)
     assert alias.name == "superadditive"
@@ -279,14 +284,11 @@ def test_with_strategy_options():
     sc = build_local_tight(1, 1, 2, 3, 1)
     assert sc.with_strategy_options() is sc
     swapped = sc.with_strategy_options(local_start="empty")
-    assert all(
-        b.strategy == LocallyOptimalStrategy("empty") for b in swapped.bidders
-    )
-    assert swapped.events == sc.events
+    assert swapped.strategies == (LocallyOptimalStrategy("empty"),) * 2
+    assert swapped.valuations is sc.valuations
+    assert swapped.events is sc.events
     secure = build_superadditive(10).with_strategy_options(secure_variant="posted")
-    assert all(
-        b.strategy == SecureProfitMaxStrategy("posted") for b in secure.bidders
-    )
+    assert secure.strategies == (SecureProfitMaxStrategy("posted"),) * 3
     # options only touch strategies of the matching kind
     untouched = build_bad_pair(10).with_strategy_options(local_start="empty")
     assert untouched.strategies == build_bad_pair(10).strategies
@@ -337,10 +339,9 @@ def test_punishment_always_burns_the_overbidder():
 
 def test_secured_overbidder_never_overpays():
     base = build_nonsecure_punishment()
-    bidders = (
-        BidderSpec(base.bidders[0].valuation, SecureProfitMaxStrategy()),
-    ) + base.bidders[1:]
-    sc = dataclasses.replace(base, bidders=bidders)
+    sc = dataclasses.replace(
+        base, strategies=(SecureProfitMaxStrategy(),) + base.strategies[1:]
+    )
     stats = run_trials(sc, 5, seed=0)
     assert stats.aggregates()["freq_scripted_overpays"] == 0.0
     assert stats.aggregates()["max_lambda"] == "1"
@@ -500,9 +501,8 @@ def _worthless_scenario():
     return Scenario(
         name="worthless",
         m=1,
-        bidders=(
-            BidderSpec(TableValuation((0, 0)), ScriptedStrategy((0b1,))),
-        ),
+        valuations=(TableValuation((0, 0)),),
+        strategies=(ScriptedStrategy((0b1,)),),
     )
 
 

@@ -63,22 +63,24 @@ def test_rule_options_are_checked(call, message):
 
 def test_context_price_and_surplus_arithmetic():
     ctx = make_ctx(PAIR, (3, 5), own=0b01)
-    assert ctx.posted_price(0b11) == 8
-    assert ctx.incremented_price(0b11) == 10
-    assert ctx.incremented_price(0b10) == 6
+    values, sums, sizes = ctx.value_table, ctx.price_sums, ctx.popcounts
+    assert sums[0b11] == 8
+    assert sums[0b11] + sizes[0b11] == 10  # the incremented price
+    assert sums[0b10] + sizes[0b10] == 6
     # surplus of adding item 1 on top of holding item 0
-    assert ctx.surplus(0b10) == 10 - 6 - 1
-    assert ctx.surplus(0) == 0
+    assert values[0b11] - (sums[0b10] + sizes[0b10]) - values[0b01] == 10 - 6 - 1
 
 
 def test_context_tables_match_direct_evaluation():
-    ctx = make_ctx(PAIR, (3, 5), own=0b01)
-    for mask in range(4):
-        assert ctx.value(mask) == PAIR.value(mask)
-        assert ctx.posted_price(mask) == naive_price((3, 5), mask)
-        assert ctx.incremented_price(mask) == naive_price(
-            (3, 5), mask, increment=True
-        )
+    for valuation, prices in ((PAIR, (3, 5)),
+                              (AdditiveValuation((4, 0, 7, 1, 2)), (2, 9, 0, 5, 3))):
+        ctx = make_ctx(valuation, prices, own=0b01)
+        for mask in range(1 << len(prices)):
+            assert ctx.value_table[mask] == valuation.value(mask)
+            assert ctx.price_sums[mask] == naive_price(prices, mask)
+            assert ctx.price_sums[mask] + ctx.popcounts[mask] == naive_price(
+                prices, mask, increment=True
+            )
 
 
 # ---------------------------------------------------------------------------

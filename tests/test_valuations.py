@@ -38,7 +38,7 @@ def test_additive_eval():
     assert v.value(0b101) == 4
     assert v.value(0) == 0
     assert v.value(0b111) == 6
-    assert v.max_value() == 6
+    assert v.value_table()[-1] == 6
     assert v.universe_size == 3
 
 
@@ -340,7 +340,7 @@ def test_generation_respects_value_cap():
     for seed in range(12):
         for alpha in (1, 2, 3):
             v = random_near_submodular(4, alpha, 20, seed=seed)
-            assert 0 < v.max_value() <= 20
+            assert 0 < v.value_table()[-1] <= 20
             assert v.value(0) == 0
             assert is_alpha_near_submodular(v, alpha)
 
