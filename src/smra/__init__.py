@@ -20,7 +20,6 @@ from .itemsets import (
     items_of,
     iter_items,
     mask_of,
-    mask_size,
     submasks,
 )
 from .valuations import (
@@ -70,7 +69,6 @@ from .oracle import (
     measure_rationality,
     optimal_welfare,
     welfare,
-    welfare_ratio,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,

@@ -20,11 +20,6 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
-def mask_size(mask: int) -> int:
-    """Number of items in the set (popcount)."""
-    return mask.bit_count()
-
-
 def iter_items(mask: int) -> Iterator[int]:
     """Yield the items of the set in ascending order."""
     while mask:

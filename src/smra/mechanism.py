@@ -32,7 +32,7 @@ from .strategies import MEMOISABLE_PROPOSE, BidContext, Strategy
 from .valuations import Valuation, common_universe
 
 # Entries a PreparedBidders keeps per decision memo and in its sightings
-# set, and rounds its segments span (k + 1 a segment); a full store is
+# set, and rounds its segments span (rows and tail); a full store is
 # emptied, so memory stays bounded.
 DECISION_CACHE_LIMIT = 1 << 14
 
@@ -192,11 +192,11 @@ class PreparedBidders:
     minus own set), and a plan of (bids, holdings), so a round is a
     function of its start state: (holdings, prices, last round's bids or
     None when no rule reads a last bid). segments maps a head state (see
-    run_auction) to the stretch a run played from there: (k, price rows,
-    holding rows, bid rows, (tail bids, tail plan)). The k >= 0 rows are
-    the last k of that run's three histories, rounds that each demand
-    something and draw nothing. The tail is the round that ends the
-    stretch, drawing or demanding nothing. A head is admitted on its
+    run_auction) to the stretch a run played from there: (price rows,
+    holding rows, bid rows, (tail bids, tail plan)). The rows, k >= 0 of
+    each, are the last k of that run's three histories, rounds that each
+    demand something and draw nothing. The tail is the round that ends
+    the stretch, drawing or demanding nothing. A head is admitted on its
     second sighting, tracked in the sightings set of state hashes: no
     state recurs within one auction (every round but the last raises a
     price), and many heads never recur at all. segment_rounds counts k + 1
@@ -264,7 +264,7 @@ def run_auction(
     A run of memoised rules with a store jumps over deterministic
     stretches. A head is round 0 or the round after one that drew. At a
     head the run looks its start state up in the prepared segments (see
-    PreparedBidders). If a segment is there and its k rounds fit (t + k <=
+    PreparedBidders). If a segment is there and its k rows fit (t + k <=
     max_rounds), the run extends the three histories by the rows, observes
     and records each jumped round from them as running it would, moves to
     round t + k, and settles the tail's plan with its own draws: no propose
@@ -330,8 +330,9 @@ def run_auction(
                     if len(sightings) >= DECISION_CACHE_LIMIT:
                         sightings.clear()
                     sightings.add(sighting)
-            elif t + segment[0] <= max_rounds:
-                k, price_rows, held_rows, bid_rows, (bids, plan) = segment
+            elif t + len(segment[0]) <= max_rounds:
+                price_rows, held_rows, bid_rows, (bids, plan) = segment
+                k = len(price_rows)
                 price_history.extend(price_rows)
                 held_history.extend(held_rows)
                 bid_history.extend(bid_rows)
@@ -402,7 +403,7 @@ def run_auction(
                     segments.clear()
                     prepared.segment_rounds = 0
                 segments[mark] = (
-                    spanned - 1, tuple(price_history[marked_at + 1:]),
+                    tuple(price_history[marked_at + 1:]),
                     tuple(held_history[marked_at + 1:]),
                     tuple(bid_history[marked_at:]), (bids, plan))
                 prepared.segment_rounds += spanned

@@ -1,10 +1,10 @@
 """Exact benchmarks for auction outcomes.
 
 optimal_welfare solves the winner-determination problem exactly by
-dynamic programming over item subsets; welfare_ratio compares a realized
-outcome against it in exact rational arithmetic; RationalityScan follows
-an auction round by round, and measure_rationality a recorded trace, for
-the worst price-to-value ratio any bidder was ever exposed to.
+dynamic programming over item subsets; welfare scores an allocation;
+RationalityScan follows an auction round by round, and
+measure_rationality a recorded trace, for the worst price-to-value ratio
+any bidder was ever exposed to.
 """
 
 from __future__ import annotations
@@ -196,23 +196,6 @@ def welfare(allocation: Sequence[int], valuations: Sequence[Valuation]) -> int:
     return total
 
 
-def welfare_ratio(
-    achieved: Union[int, AuctionOutcome],
-    optimal: Union[int, OptimalAllocation],
-    valuations: Optional[Sequence[Valuation]] = None,
-) -> Fraction:
-    """Achieved / optimal welfare, exactly; 1 when the optimum is zero."""
-    if isinstance(achieved, AuctionOutcome):
-        if valuations is None:
-            raise ValueError("valuations are needed to score an outcome")
-        achieved = welfare(achieved.allocation, valuations)
-    if isinstance(optimal, OptimalAllocation):
-        optimal = optimal.welfare
-    if optimal == 0:
-        return Fraction(1)
-    return Fraction(achieved, optimal)
-
-
 @dataclass(frozen=True)
 class RationalityReport:
     """Worst price-to-value exposure across a recorded auction.
@@ -275,7 +258,8 @@ class RationalityScan:
     included. Witnesses stay (round, bidder, mask) until report() decodes
     them. Value tables are `tables` if given, else the valuations' own.
     A subset_cap that is not an int >= 0 (a bool included) raises
-    ValueError.
+    ValueError, and so does an update whose holdings are not one per
+    table.
     """
 
     __slots__ = ("_tables", "_subset_cap", "_num", "_den", "_witness",
@@ -293,6 +277,9 @@ class RationalityScan:
     ) -> None:
         """Examine one round's post-state (prices and holdings)."""
         tables = self._tables
+        if len(provisional) != len(tables):
+            raise ValueError(f"{len(provisional)} holdings for a scan of "
+                             f"{len(tables)} bidders")
         for i in compress(range(len(provisional)), provisional):
             self._examine(t, i, provisional[i], tables[i], prices_after)
 

@@ -2,24 +2,27 @@
 
 The oracles here are deliberately naive re-implementations (triple
 enumeration, full assignment enumeration, every bid of every bidding rule
-scored with valuation.value() and item-by-item price sums) so the
-package's optimized algorithms are checked against code with no shared
-logic.
+scored with valuation.value() and item-by-item price sums, and the
+auction itself, round by round) so the package's optimized algorithms are
+checked against code with no shared logic.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import inf
 from typing import Optional, Sequence
 
-from smra import BidContext, RationalityReport, Valuation
-from smra.itemsets import (
-    items_of, iter_items, mask_size, popcount_table, submasks, subset_sums,
+from smra import (
+    AuctionOutcome, BidContext, Draw, InvalidBid, RationalityReport,
+    RoundRecord, Valuation,
 )
-from smra.mechanism import AuctionOutcome
+from smra.itemsets import (
+    items_of, iter_items, popcount_table, submasks, subset_sums,
+)
 
 
 def naive_degree(valuation: Valuation):
@@ -179,7 +182,7 @@ def reference_measure_rationality(
             p_full = sum(prices[j] for j in iter_items(held))
             if p_full > 0:
                 full_only.update(p_full, table[held], (record.t, i, items_of(held)))
-            if mask_size(held) <= subset_cap:
+            if held.bit_count() <= subset_cap:
                 examined = submasks(held)
             else:
                 examined = (held, *(1 << j for j in iter_items(held)))
@@ -351,6 +354,64 @@ def make_ctx(
         price_sums=subset_sums(prices),
         popcounts=popcount_table(m),
     )
+
+
+def reference_auction(
+    valuations: Sequence[Valuation], strategies: Sequence, seed: int,
+    max_rounds: int,
+) -> tuple[AuctionOutcome, list[tuple]]:
+    """The auction as the mechanism module docstring states it, with no
+    memo and no store: every round each bidder gets a fresh BidContext of
+    list histories and naive tables, the bids are checked in bidder order,
+    and every demanded item, in ascending order, rises one step and goes
+    to its sole demander or to random.Random(seed).choice of its
+    demanders. Returns (outcome, observer calls); the outcome is the
+    partial one, flagged diverged, when round max_rounds or later still
+    demands something. Raises InvalidBid for the first bad bid, and
+    whatever a rule raises."""
+    n, m = len(valuations), valuations[0].universe_size
+    choose = random.Random(seed).choice
+    tables = [[v.value(s) for s in range(1 << m)] for v in valuations]
+    sizes = [s.bit_count() for s in range(1 << m)]
+    prices, held = (0,) * m, (0,) * n
+    price_history, held_history, bid_history = [prices], [held], []
+    records, calls = [], []
+    for t in itertools.count():
+        sums = [naive_price(prices, s) for s in range(1 << m)]
+        bids = tuple(strategies[i].propose(BidContext(
+            bidder=i, valuation=valuations[i], t=t, prices=prices,
+            price_history=list(price_history), own_set=held[i],
+            own_set_history=[row[i] for row in held_history],
+            own_bid_history=[row[i] for row in bid_history], m=m,
+            value_table=tables[i], price_sums=sums, popcounts=sizes,
+        )) for i in range(n))
+        for i, bid in enumerate(bids):
+            if bid and (bid < 0 or bid >> m or bid & held[i]):
+                raise InvalidBid(i, bid, "not a set of free items")
+        demanded = 0
+        for bid in bids:
+            demanded |= bid
+        if demanded and t >= max_rounds:
+            return AuctionOutcome(held, prices, t, tuple(records), True), calls
+        after, held_after, draws = list(prices), list(held), []
+        for j in range(m):
+            cands = tuple(i for i in range(n) if bids[i] >> j & 1)
+            if cands:
+                winner = choose(cands) if len(cands) > 1 else cands[0]
+                draws.append(Draw(j, cands, winner))
+                after[j] += 1
+                held_after = [h & ~(1 << j) for h in held_after]
+                held_after[winner] |= 1 << j
+        after, held_after = tuple(after), tuple(held_after)
+        records.append(RoundRecord(t, prices, bids, demanded, tuple(draws),
+                                   after, held_after))
+        if not demanded:
+            return AuctionOutcome(held, prices, t, tuple(records)), calls
+        calls.append((t, after, held_after))
+        price_history.append(after)
+        held_history.append(held_after)
+        bid_history.append(bids)
+        prices, held = after, held_after
 
 
 # One well-formed two-item, two-bidder trace line, and lines that

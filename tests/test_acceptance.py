@@ -17,7 +17,6 @@ from smra import (
     SecureProfitMaxStrategy,
     TruthfulStrategy,
     derive_seed,
-    mask_size,
     measure_rationality,
     optimal_welfare,
     random_near_submodular,
@@ -129,7 +128,7 @@ def test_criterion_03_truthful_tightness(capsys):
         outcome = run_auction(
             valuations, strategies, seed=derive_seed(31, i)
         )
-        sizes = [mask_size(a) for a in outcome.allocation]
+        sizes = [a.bit_count() for a in outcome.allocation]
         if max(sizes) > 1 or sum(sizes) != 4:
             continue
         distinct += 1

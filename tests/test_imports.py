@@ -2,8 +2,10 @@
 private module-level name and private method in the package is
 referenced somewhere in it, only errors.require_int tests whether a
 value is an int, only mechanism._record builds a round's record, each
-valuation form name is written once, on its class's `form =` line, and
-per-item sums are walked by hand only in the rationality scan.
+valuation form name is written once, on its class's `form =` line,
+per-item sums are walked by hand only in the rationality scan, and the
+reference auction's module, tests/helpers.py, reaches no private name of
+the package and names none of the engine's store.
 
 No linter ships with the project, so these scans are the guard: an import
 that nothing references fails here, and so does a `_name` function, class,
@@ -302,3 +304,70 @@ def test_scan_sees_a_hand_rolled_low_bit_walk():
 def test_per_item_sums_come_from_subset_sums(path):
     assert low_bit_subscripts(path.read_text(encoding="utf-8"),
                               LOW_BIT_WALKERS) == []
+
+
+# The reference auction in tests/helpers.py is written from the mechanism
+# docstring alone: it may not reach into the package or name its store.
+STORE_NAMES = {"PreparedBidders", "segments", "DECISION_CACHE_LIMIT"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def engine_internals(source: str) -> list[str]:
+    """A `_name` imported from smra or read off a name imported from it
+    (by attribute or getattr), and every mention of a store name, in line
+    order."""
+    tree = ast.parse(source)
+    bases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = node.module + "." if isinstance(node, ast.ImportFrom) else ""
+            for alias in node.names:
+                path = module + alias.name
+                if path.split(".")[0] != "smra":
+                    continue
+                bases.add(alias.asname or (alias.name if module
+                                           else path.split(".")[0]))
+                if any(map(_private, path.split("."))) or alias.name in STORE_NAMES:
+                    found.append((alias.lineno, alias.col_offset,
+                                  f"{path} (line {alias.lineno})"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base, name = node.value, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            base, name = node.args[0], node.args[1].value
+        elif isinstance(node, ast.Name):
+            base, name = None, node.id
+        else:
+            continue
+        reached = (isinstance(base, ast.Name) and base.id in bases
+                   and _private(name))
+        if reached or name in STORE_NAMES:
+            found.append((node.lineno, node.col_offset,
+                          f"{name} (line {node.lineno})"))
+    return [text for *_, text in sorted(found)]
+
+
+def test_scan_sees_the_engine_reached_into():
+    source = ("from smra import BidContext, mechanism as mech\n"
+              "from smra.mechanism import _plan_round, PreparedBidders\n"
+              "import smra.itemsets\n"
+              "x = mech._settle(smra.itemsets, other._private, mech.__doc__)\n"
+              "y = getattr(mech, '_record'), getattr(mech, 'run_auction')\n"
+              "z = prepared.segments, smra._x, DECISION_CACHE_LIMIT\n")
+    assert engine_internals(source) == [
+        "smra.mechanism._plan_round (line 2)",
+        "smra.mechanism.PreparedBidders (line 2)", "_settle (line 4)",
+        "_record (line 5)", "segments (line 6)", "_x (line 6)",
+        "DECISION_CACHE_LIMIT (line 6)"]
+    assert engine_internals("from smra.itemsets import subset_sums\n") == []
+
+
+def test_the_reference_auction_stands_apart_from_the_engine():
+    source = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert "def reference_auction(" in source
+    assert engine_internals(source) == []

@@ -26,7 +26,6 @@ from smra import (
     optimal_welfare,
     run_auction,
     welfare,
-    welfare_ratio,
 )
 from smra import oracle
 from smra.mechanism import AuctionOutcome, RoundRecord
@@ -171,19 +170,6 @@ def test_welfare_checks_held_bundles_among_empty_ones():
         welfare((0, 0, 0b10000, 0, 0, 0), vals)  # item 4 outside m = 4
 
 
-def test_welfare_ratio_forms():
-    assert welfare_ratio(2, 10) == Fraction(1, 5)
-    assert welfare_ratio(7, 7) == Fraction(1)
-    assert welfare_ratio(0, 0) == Fraction(1)  # nothing to gain, nothing lost
-    sc = build_bad_pair(10)
-    outcome = run_auction(sc.valuations, sc.strategies, seed=0)
-    opt = optimal_welfare(sc.valuations)
-    ratio = welfare_ratio(outcome, opt, sc.valuations)
-    assert ratio == Fraction(welfare(outcome.allocation, sc.valuations), 10)
-    with pytest.raises(ValueError):
-        welfare_ratio(outcome, opt)  # outcome form needs the valuations
-
-
 # ---------------------------------------------------------------------------
 # Rationality measurement
 
@@ -325,6 +311,19 @@ def test_rationality_refuses_a_bidder_list_that_does_not_match_the_trace():
                        match="^valuations have m=3, the trace has m=2$"):
         measure_rationality(outcome, (AdditiveValuation((1, 1, 1)),) * 2)
     assert measure_rationality(outcome, sc.valuations).lam >= 1
+
+
+def test_a_scan_refuses_holdings_that_do_not_match_its_tables():
+    valuations = build_bad_pair(10).valuations
+    # both bidders hold an item: a scan of one bidder raised IndexError,
+    # and a scan of four reported
+    for scanned in (valuations[:1], valuations * 2):
+        with pytest.raises(ValueError, match=f"^2 holdings for a scan of "
+                                             f"{len(scanned)} bidders$"):
+            RationalityScan(scanned).update(0, (1, 1), (0b01, 0b10))
+    scan = RationalityScan(valuations)
+    scan.update(0, (1, 1), (0b01, 0b10))
+    assert scan.report().witness == (0, 0, (0,))
 
 
 def test_rationality_report_dict_encoding():

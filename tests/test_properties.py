@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     naive_locally_optimal,
     naive_profit_max_secure,
     naive_truthful,
+    reference_auction,
     reference_measure_rationality,
     reference_optimal_welfare,
     supermodular_values,
@@ -24,6 +26,7 @@ from smra import (
     CallableStrategy,
     Divergence,
     InsecureProvisionalState,
+    InvalidBid,
     LocallyOptimalStrategy,
     RationalityScan,
     ScriptedStrategy,
@@ -44,10 +47,16 @@ from smra import (
     run_auction,
     run_trials,
     truthful_bid,
+    write_trace_jsonl,
 )
 from smra import mechanism
-from smra.mechanism import AuctionOutcome, PreparedBidders, RoundRecord
-from smra.scenarios import build_bad_pair, build_local_tight, build_truthful_tight
+from smra.mechanism import (AuctionOutcome, PreparedBidders, RoundRecord,
+                            default_max_rounds)
+from smra.scenarios import (
+    TrialRow, build_bad_pair, build_local_tight, build_nonsecure_punishment,
+    build_scripted_partition, build_superadditive, build_truthful_tight,
+    derive_seed,
+)
 from smra.valuations import Valuation
 
 
@@ -278,7 +287,7 @@ def test_all_secure_runs_stay_within_value(m, n, alpha, gen_seed, run_seed):
 
 
 # ---------------------------------------------------------------------------
-# Memoised decisions: a run with the built-in rules equals an uncached one
+# Every engine path equals the reference auction
 
 BUILTIN_RULES = (
     TruthfulStrategy(),
@@ -290,9 +299,13 @@ BUILTIN_RULES = (
 
 
 @st.composite
-def builtin_auctions(draw):
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 4))
+def memoised_auctions(draw):
+    """(valuations, strategies, seeds, caps, store limit): built-in rules
+    only, so the list has a store, over shared valuation objects, mostly
+    truthful and local search from the previous bid."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    rules = draw(st.sampled_from([BUILTIN_RULES[:2], BUILTIN_RULES]))
     pool = []
     valuations = []
     for _ in range(n):
@@ -301,36 +314,208 @@ def builtin_auctions(draw):
         if pick == len(pool):
             pool.append(draw(monotone_tables(min_m=m, max_m=m)))
         valuations.append(pool[pick])
-    strategies = tuple(draw(st.sampled_from(BUILTIN_RULES)) for _ in range(n))
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
-    return tuple(valuations), strategies, seeds
+    strategies = tuple(draw(st.sampled_from(rules)) for _ in range(n))
+    seeds = draw(st.lists(st.integers(0, 23), min_size=2, max_size=2))
+    # None: the default round budget
+    caps = draw(st.lists(st.sampled_from((0, 1, 3, 8, None)), min_size=1,
+                         max_size=2))
+    limit = draw(st.sampled_from([None, None, 2, 5]))
+    return tuple(valuations), strategies, seeds, caps, limit
 
 
-def _outcome_or_error(valuations, strategies, seed):
+def _reference(valuations, strategies, seed, cap):
+    """The reference's (outcome, observer calls), or (error type, bidder)."""
     try:
-        return run_auction(valuations, strategies, seed=seed)
+        return reference_auction(valuations, strategies, seed, cap)
+    except (InvalidBid, InsecureProvisionalState) as exc:
+        return type(exc), exc.bidder
+
+
+def _engine(valuations, strategies, seed, cap, trace, observe, prepared):
+    """run_auction's (outcome or partial outcome, observer calls), or
+    (error type, bidder)."""
+    calls = []
+    try:
+        outcome = run_auction(
+            valuations, strategies, seed, max_rounds=cap, record_trace=trace,
+            observer=(lambda *call: calls.append(call)) if observe else None,
+            prepared=prepared)
     except Divergence as exc:
-        return ("diverged", exc.outcome)
-    except InsecureProvisionalState as exc:
-        return ("insecure", exc.bidder, exc.witness_mask)
+        outcome = exc.outcome
+    except (InvalidBid, InsecureProvisionalState) as exc:
+        return type(exc), exc.bidder
+    return outcome, calls
+
+
+def _trace_text(records):
+    buffer = io.StringIO()
+    write_trace_jsonl(records, buffer)
+    return buffer.getvalue()
+
+
+def _shown(result, trace):
+    """A run's result, and its trace bytes when it is a traced outcome."""
+    if trace and type(result[0]) is AuctionOutcome:
+        return result + (_trace_text(result[0].records),)
+    return result
+
+
+# (record_trace, observed, on the warm PreparedBidders): the cold run is
+# traced and observed at once
+PATHS = ((True, True, False), (True, False, True), (False, False, True),
+         (False, True, True), (True, True, True))
+
+
+def engine_mismatches(valuations, strategies, seeds, caps, warm_seeds=16):
+    """Every (seed, cap, path) whose run differs from the reference in its
+    outcome, records, trace bytes, observer calls or error. The warm
+    PreparedBidders first plays seeds 0 .. warm_seeds - 1 quietly, each
+    once capped (cycling through caps) and once uncapped: capped runs meet
+    heads first, and the store holds whole stretches for the checked caps
+    to cut."""
+    top = default_max_rounds(valuations)
+    caps = [top if cap is None else cap for cap in caps]
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(warm_seeds):
+        for cap in (caps[seed % len(caps)], top):
+            _engine(valuations, strategies, seed, cap, False, False, warm)
+    mismatches = []
+    for seed in seeds:
+        for cap in caps:
+            expected = _reference(valuations, strategies, seed, cap)
+            for trace, observe, use_warm in PATHS:
+                got = _engine(valuations, strategies, seed, cap, trace,
+                              observe, warm if use_warm else None)
+                want = expected
+                if type(expected[0]) is AuctionOutcome:
+                    outcome, calls = expected
+                    want = (outcome if trace else replace(outcome, records=None),
+                            calls if observe else [])
+                if _shown(got, trace) != _shown(want, trace):
+                    mismatches.append((seed, cap, trace, observe, use_warm))
+    return mismatches
+
+
+def _bidders(scenario):
+    return scenario.valuations, scenario.strategies
+
+
+def _previous_bid_bidders():
+    # three bidders who start from last round's bid: some round-start
+    # (holdings, prices) recur with different last bids and different bids
+    valuations = tuple(random_near_submodular(2, 2, 8, random.Random(40 + i)
+                                              .randrange(2**32))
+                       for i in range(3))
+    return valuations, (LocallyOptimalStrategy("previous"),) * 3
+
+
+def _random_mixed_bidders():
+    rng = random.Random(41)
+    shared, own, third = (
+        random_near_submodular(3, 2, 12, rng.randrange(2**32)) for _ in range(3)
+    )
+    valuations = (shared, shared, shared, own, third)
+    strategies = (LocallyOptimalStrategy("previous"),) * 3 + (
+        LocallyOptimalStrategy("empty"), SecureProfitMaxStrategy())
+    return valuations, strategies
+
+
+def _complement_pair():
+    # items 0 and 1 are worth 10 together and item 2 is worth 5 with
+    # either: a split swaps 0 and 1 until both bidders turn to item 2 in
+    # the same round, and a sweep passes the pair back and forth until
+    # nobody bids
+    valuation = TableValuation((0, 1, 1, 10, 1, 5, 5, 10))
+    return (valuation,) * 2, (TruthfulStrategy(),) * 2
 
 
 _SHARED = TableValuation((0, 0, 0, 3, 2, 2, 5, 5))
+_PAIR_10 = build_bad_pair(10).valuations
+# seed 0: the posted-variant secure bidder wins items 0 and 2 at price 2
+# in round 1; item 2 alone is worth 1 to it, so round 2 raises
+_INSECURE = ((TableValuation((0, 1, 1, 2, 1, 4, 1, 4)),
+              TableValuation((0, 2, 3, 3, 2, 4, 3, 6))),
+             (SecureProfitMaxStrategy("posted"), TruthfulStrategy()))
+_BAD_BIDS = (CallableStrategy(lambda ctx: ctx.own_set or 1),
+             CallableStrategy(lambda ctx: 1 << ctx.m))
+# a rule that reads its own bid history: truthful until it has bid twice
+_TWO_BIDS = CallableStrategy(
+    lambda ctx: truthful_bid(ctx) if sum(map(bool, ctx.own_bid_history)) < 2
+    else 0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(builtin_auctions())
+@settings(max_examples=40, deadline=None)
+@given(memoised_auctions())
+# 48- and 97-round stretches cut by every third cap
+@example((*_bidders(build_bad_pair(100)), (20, 21, 22), range(0, 100, 3), None))
+@example((*_bidders(build_bad_pair(100)), (20, 21), (10, 60, None), 60))
+@example((*_previous_bid_bidders(), range(16, 30), (None, 5), None))
+@example((*_previous_bid_bidders(), range(16, 30), (None,), 6))
+@example((*_complement_pair(), range(8), (2, None), None))
+@example((*_random_mixed_bidders(), range(12, 20), (3, None), 3))
+@example((*_bidders(build_bad_pair(10)), (3, 20), (1, None), 3))
+@example((*_bidders(build_truthful_tight(4, 3, 6)), (3, 20), (1, None), None))
+@example((*_bidders(build_local_tight(L=2)), (3, 20), (1, None), 3))
+@example((*_bidders(build_superadditive(5)), (3, 20), (1, None), None))
+@example((*_bidders(build_nonsecure_punishment()), (3, 20), (1, None), None))
+@example((*_bidders(build_scripted_partition([[0], [1, 2]])), (3, 20),
+          (1, None), None))
 # seed 4 reaches a state of seed 2's with another last bid for local search
-@example(((_SHARED,) * 3, BUILTIN_RULES[:2] + BUILTIN_RULES[:1], [2, 4]))
-def test_memoised_runs_equal_uncached_runs(instance):
-    valuations, strategies, seeds = instance
-    uncached = tuple(CallableStrategy(s.propose) for s in strategies)
-    # each seed runs twice in a row, so the second run is served from the
-    # memo; the second seed meets states the first seed's runs remembered
-    for seed in seeds:
-        reference = _outcome_or_error(valuations, uncached, seed)
-        for _ in range(2):
-            assert _outcome_or_error(valuations, strategies, seed) == reference
+@example(((_SHARED,) * 3, BUILTIN_RULES[:2] + BUILTIN_RULES[:1], (2, 4),
+          (None,), None))
+@example((*_INSECURE, (0, 1), (None,), None))
+# lists with a rule that is not memoised keep no store
+@example((_PAIR_10, (TruthfulStrategy(), ScriptedStrategy((1, 2, 1))),
+          range(8), (2, None), None))
+@example(((TableValuation((0, 4)),) * 3, (_TWO_BIDS,) + BUILTIN_RULES[:1] * 2,
+          range(8), (None,), None))
+# a bid on an item the bidder holds, and one outside the universe
+@example((_PAIR_10, (TruthfulStrategy(), _BAD_BIDS[0]), (0, 1), (None,), None))
+@example((_PAIR_10, (_BAD_BIDS[1], TruthfulStrategy()), (0,), (None,), None))
+def test_every_engine_path_equals_the_reference(instance):
+    valuations, strategies, seeds, caps, limit = instance
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(mechanism, "DECISION_CACHE_LIMIT", limit)
+        assert engine_mismatches(valuations, strategies, seeds, caps) == []
+
+
+def _reference_rows(scenario, trials, seed, collect_lambda):
+    """run_trials' rows, built from reference outcomes."""
+    valuations = scenario.valuations
+    optimal = reference_optimal_welfare(valuations)[0]
+    rows = []
+    for trial in range(trials):
+        trial_seed = derive_seed(seed, trial)
+        outcome, _ = reference_auction(valuations, scenario.strategies,
+                                       trial_seed,
+                                       default_max_rounds(valuations))
+        achieved = sum(v.value(held)
+                       for v, held in zip(valuations, outcome.allocation))
+        rows.append(TrialRow(
+            trial, trial_seed, outcome.rounds, achieved,
+            Fraction(achieved, optimal) if optimal else Fraction(1),
+            reference_measure_rationality(outcome, valuations).lam
+            if collect_lambda else None,
+            outcome.diverged,
+            tuple(bool(ev.check(outcome, achieved)) for ev in scenario.events)))
+    return rows
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
+    lambda: build_local_tight(L=3),
+], ids=["bad_pair_100", "truthful_tight", "local_tight"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_trials_rows_equal_the_reference_rows(build, jobs):
+    # the first call warms the scenario's store for the serial second one;
+    # pooled chunks start cold in their own processes
+    scenario = build()
+    for collect_lambda in (False, True):
+        run_trials(scenario, 60, 1, collect_lambda=collect_lambda)
+        assert list(run_trials(scenario, 60, 2, jobs=jobs,
+                               collect_lambda=collect_lambda).rows) == (
+            _reference_rows(scenario, 60, 2, collect_lambda))
 
 
 # ---------------------------------------------------------------------------
@@ -577,242 +762,7 @@ def test_measure_rationality_equals_the_reference_on_any_records(instance):
 
 
 # ---------------------------------------------------------------------------
-# Bidder setup: one shared PreparedBidders runs every auction as a fresh call
-
-
-def _random_mixed_bidders():
-    rng = random.Random(41)
-    shared, own, third = (
-        random_near_submodular(3, 2, 12, rng.randrange(2**32)) for _ in range(3)
-    )
-    valuations = (shared, shared, shared, own, third)
-    strategies = (LocallyOptimalStrategy("previous"),) * 3 + (
-        LocallyOptimalStrategy("empty"), SecureProfitMaxStrategy())
-    return valuations, strategies
-
-
-def _scenario_bidders(build):
-    return lambda: (build().valuations, build().strategies)
-
-
-SETUP_CASES = {
-    "truthful_tight": _scenario_bidders(lambda: build_truthful_tight(4, 3, 6)),
-    "bad_pair": _scenario_bidders(lambda: build_bad_pair(10)),
-    "local_tight": _scenario_bidders(lambda: build_local_tight(L=2)),
-    "mixed": _random_mixed_bidders,
-}
-
-
-def _auction_result(valuations, strategies, seed, **options):
-    try:
-        return run_auction(valuations, strategies, seed, max_rounds=60, **options)
-    except Divergence as exc:
-        return "diverged", exc.outcome
-    except InsecureProvisionalState as exc:
-        return "insecure", exc.bidder, exc.witness_mask
-
-
-@pytest.mark.parametrize("cap", [None, 3])
-@pytest.mark.parametrize("case", sorted(SETUP_CASES))
-def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, cap):
-    if cap is not None:
-        monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
-    valuations, strategies = SETUP_CASES[case]()
-    prepared = PreparedBidders(valuations, strategies)
-    for seed in range(10):
-        # fresh objects: a new setup and empty caches every time; traced
-        # and quiet runs alike fill the memos and the segments
-        for record_trace in (True, False):
-            fresh = _auction_result(*SETUP_CASES[case](), seed,
-                                    record_trace=record_trace)
-            assert _auction_result(valuations, strategies, seed,
-                                   record_trace=record_trace,
-                                   prepared=prepared) == fresh
-        if cap is not None:
-            assert all(len(memo) <= cap for memo in prepared.memos if memo)
-            assert prepared.segment_rounds <= cap
-            assert len(prepared.sightings) <= cap
-
-
-# ---------------------------------------------------------------------------
-# The transition store: a warm PreparedBidders runs every round as a cold one
-
-
-def _observed_run(valuations, strategies, seed, **options):
-    """(outcome or ("diverged", partial), observer calls, λ report)."""
-    calls = []
-    scan = RationalityScan(valuations)
-
-    def observer(t, prices, provisional):
-        calls.append((t, prices, tuple(provisional)))
-        scan.update(t, prices, provisional)
-
-    try:
-        outcome = run_auction(valuations, strategies, seed, observer=observer,
-                              **options)
-    except Divergence as exc:
-        outcome = "diverged", exc.outcome
-    return outcome, calls, scan.report()
-
-
-def _warm(build, seeds=range(20)):
-    """A scenario's bidders and a PreparedBidders whose segments hold what
-    untraced runs of `seeds` stored."""
-    scenario = build()
-    valuations, strategies = scenario.valuations, scenario.strategies
-    prepared = PreparedBidders(valuations, strategies)
-    for seed in seeds:
-        run_auction(valuations, strategies, seed, record_trace=False,
-                    prepared=prepared)
-    assert prepared.segments
-    return valuations, strategies, prepared
-
-
-def _counting_plans(monkeypatch):
-    plans = []
-    real = mechanism._plan_round
-    monkeypatch.setattr(mechanism, "_plan_round",
-                        lambda *args: plans.append(args) or real(*args))
-    return plans
-
-
-@pytest.mark.parametrize("build", [
-    lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
-], ids=["bad_pair", "truthful_tight"])
-def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
-    # a warm observed run takes the bids and plans of its head rounds from
-    # the segments' tails
-    valuations, strategies, warm = _warm(build)
-    # cold: fresh valuations, so empty decision memos and no segments
-    expected = [_observed_run(build().valuations, build().strategies, seed,
-                              record_trace=False)
-                for seed in range(20, 40)]
-    plans = _counting_plans(monkeypatch)
-    got = [_observed_run(valuations, strategies, seed, record_trace=False,
-                         prepared=warm)
-           for seed in range(20, 40)]
-    assert got == expected
-    assert len(plans) < sum(outcome.rounds + 1 for outcome, _, _ in got)
-
-
-def _previous_bid_bidders():
-    # three bidders who start from last round's bid: some round-start
-    # (holdings, prices) recur with different last bids and different bids
-    valuations = tuple(random_near_submodular(2, 2, 8, random.Random(40 + i)
-                                              .randrange(2**32))
-                       for i in range(3))
-    return valuations, (LocallyOptimalStrategy("previous"),) * 3
-
-
-def test_the_round_cache_keys_on_last_bids_where_a_rule_reads_them():
-    valuations, strategies = _previous_bid_bidders()
-    warm = PreparedBidders(valuations, strategies)
-    for seed in range(30):
-        assert _auction_result(valuations, strategies, seed,
-                               record_trace=False, prepared=warm) == (
-            _auction_result(*_previous_bid_bidders(), seed,
-                            record_trace=False))
-    # some heads share holdings and prices and differ in last bids alone
-    starts = [(held, prices) for held, prices, last_bids in warm.segments]
-    assert len(set(starts)) < len(starts)
-
-
-def test_a_warm_round_cache_diverges_at_the_cold_round():
-    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
-    ends = set()
-    for seed in range(20, 30):
-        # a 48-round stretch from round 1 fits a cap of 49 and a 97-round
-        # one does not
-        for cap in (0, 1, 10, 49, 60):
-            cold = build_bad_pair(100)
-            expected = _observed_run(cold.valuations, cold.strategies, seed,
-                                     max_rounds=cap, record_trace=False)
-            got = _observed_run(valuations, strategies, seed, max_rounds=cap,
-                                record_trace=False, prepared=warm)
-            assert got == expected
-            outcome = got[0][1] if type(got[0]) is tuple else got[0]
-            assert outcome.rounds <= cap
-            ends.add((cap, outcome.diverged))
-    assert (49, False) in ends and (49, True) in ends
-
-
-@pytest.mark.parametrize("other", [
-    ScriptedStrategy((0b01, 0b10, 0b01)), CallableStrategy(truthful_bid),
-], ids=["scripted", "callable"])
-def test_a_list_with_an_unmemoised_rule_has_no_round_cache(other):
-    valuations = build_bad_pair(10).valuations
-    strategies = (TruthfulStrategy(), other)
-    prepared = PreparedBidders(valuations, strategies)
-    assert prepared.segments is None
-    for seed in range(10):
-        fresh = build_bad_pair(10).valuations
-        assert _auction_result(valuations, strategies, seed,
-                               record_trace=False, prepared=prepared) == (
-            _auction_result(fresh, strategies, seed, record_trace=False))
-    assert prepared.segments is None and not prepared.sightings
-    if isinstance(other, CallableStrategy):
-        # a wrapped truthful rule bids as the stored truthful one
-        warm_valuations, truthful, warm = _warm(lambda: build_bad_pair(10))
-        assert truthful == (TruthfulStrategy(),) * 2
-        for seed in range(10):
-            assert _auction_result(valuations, strategies, seed,
-                                   record_trace=False) == (
-                _auction_result(warm_valuations, truthful, seed,
-                                record_trace=False, prepared=warm))
-
-
-def test_the_round_cache_admits_only_states_seen_twice():
-    # truthful_tight's round-1 heads record which bidders won, and never
-    # recur: only round 0's head is admitted, as a round that draws
-    scenario = build_truthful_tight(4, 3, 60)
-    valuations, strategies = scenario.valuations, scenario.strategies
-    prepared = PreparedBidders(valuations, strategies)
-    run_auction(valuations, strategies, 0, record_trace=False,
-                prepared=prepared)
-    assert not prepared.segments and prepared.sightings
-    for seed in range(1, 50):
-        run_auction(valuations, strategies, seed, record_trace=False,
-                    prepared=prepared)
-    assert [segment[0] for segment in prepared.segments.values()] == [0]
-    assert prepared.segment_rounds == 1
-
-
-def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
-    # 590 plans for 14,410 rounds; a plan cache per run_auction call made
-    # 800 (four per auction), and no cache makes one per round
-    plans = _counting_plans(monkeypatch)
-    stats = run_trials(build_bad_pair(100), 200, 7)
-    assert len(plans) * 20 < sum(row.rounds + 1 for row in stats.rows)
-
-
-def _counting_settles(monkeypatch):
-    settles = []
-    real = mechanism._settle
-    monkeypatch.setattr(mechanism, "_settle",
-                        lambda *args: settles.append(args) or real(*args))
-    return settles
-
-
-def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
-    # a 10k-trial pass settles 20,580 of its 747,744 rounds, λ on or off;
-    # without segments it settles every round
-    settles = _counting_settles(monkeypatch)
-    for collect_lambda in (False, True):
-        del settles[:]
-        stats = run_trials(build_bad_pair(100), 2000, 123,
-                           collect_lambda=collect_lambda)
-        assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
-
-
-# ---------------------------------------------------------------------------
-# Segments: a jump over a deterministic stretch lands where the rounds would
-
-
-class _Unkept(dict):
-    """A segment store that keeps nothing, so a run never jumps."""
-
-    def __setitem__(self, head, segment):
-        pass
+# The transition store: what it costs and what bounds it
 
 
 def _quiet_result(valuations, strategies, seed, cap, **options):
@@ -824,178 +774,73 @@ def _quiet_result(valuations, strategies, seed, cap, **options):
         return "diverged", exc.outcome
 
 
-WARM_BUILDS = {
-    "bad_pair_100": lambda: build_bad_pair(100),
-    "bad_pair_10": lambda: build_bad_pair(10),
-    "truthful_tight": lambda: build_truthful_tight(4, 3, 6),
-    "local_tight": lambda: build_local_tight(L=3),
-}
-
-
-@pytest.mark.parametrize("build, collect_lambda", [
-    pytest.param(build, collect_lambda,
-                 id=name + ("-lambda" if collect_lambda else ""))
-    for name, build in WARM_BUILDS.items() for collect_lambda in (False, True)
-])
-def test_a_warm_segment_cache_gives_the_cold_rows(
-        monkeypatch, build, collect_lambda):
-    warm = build()
-    run_trials(warm, 300, 1, collect_lambda=collect_lambda)
-    got = run_trials(warm, 300, 2, collect_lambda=collect_lambda)
-    assert warm.prepared.segments
-    # cold: a fresh scenario that never jumps
-    cold = build()
-    monkeypatch.setattr(cold.prepared, "segments", _Unkept())
-    assert got == run_trials(cold, 300, 2, collect_lambda=collect_lambda)
-    assert not cold.prepared.segments
-
-
-def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
-    scenario = build_bad_pair(100)
-    valuations, strategies = scenario.valuations, scenario.strategies
-    warm = PreparedBidders(valuations, strategies)
-    for seed in range(40):  # enough to cache every stretch in full
-        _quiet_result(valuations, strategies, seed, None, prepared=warm)
-    assert max(segment[0] for segment in warm.segments.values()) > 40
-    heads = set(warm.segments)
-    for seed in range(40, 45):
-        for cap in range(0, 100, 3):
-            cold = build_bad_pair(100)
-            assert _quiet_result(valuations, strategies, seed, cap,
-                                 prepared=warm) == (
-                _quiet_result(cold.valuations, cold.strategies, seed, cap))
-    # the rounds of a segment that does not fit start no segments
-    assert set(warm.segments) == heads
-
-
 def _stored_rounds(prepared):
-    return sum(segment[0] + 1 for segment in prepared.segments.values())
+    """The rounds the segments span: each segment's rows, and its tail."""
+    return sum(len(segment[0]) + 1 for segment in prepared.segments.values())
 
 
-def test_a_stretch_cut_by_a_cap_is_stored_whole_by_a_later_run():
-    # capped runs stop inside the stretch from head (2, 1) and store none
-    # of it; later uncapped runs must store it whole, as long as its
-    # mirror (1, 2)
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(mechanism, name)
+    monkeypatch.setattr(mechanism, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_store_admits_only_heads_seen_twice():
+    # truthful_tight's round-1 heads record which bidders won, and never
+    # recur: only round 0's head is admitted, as a round that draws
+    scenario = build_truthful_tight(4, 3, 60)
+    valuations, strategies = scenario.valuations, scenario.strategies
+    prepared = PreparedBidders(valuations, strategies)
+    run_auction(valuations, strategies, 0, record_trace=False,
+                prepared=prepared)
+    assert not prepared.segments and prepared.sightings
+    for seed in range(1, 50):
+        run_auction(valuations, strategies, seed, record_trace=False,
+                    prepared=prepared)
+    assert len(prepared.segments) == _stored_rounds(prepared) == 1
+    assert prepared.segment_rounds == 1
+
+
+def test_run_trials_plans_few_of_the_rounds_it_settles(monkeypatch):
+    # 590 plans for 14,410 rounds; a plan cache per run_auction call made
+    # 800 (four per auction), and no cache makes one per round
+    plans = _counting(monkeypatch, "_plan_round")
+    stats = run_trials(build_bad_pair(100), 200, 7)
+    assert len(plans) * 20 < sum(row.rounds + 1 for row in stats.rows)
+
+
+def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
+    # a 10k-trial pass settles 20,580 of its 747,744 rounds, λ on or off;
+    # without segments it settles every round
+    settles = _counting(monkeypatch, "_settle")
+    for collect_lambda in (False, True):
+        del settles[:]
+        stats = run_trials(build_bad_pair(100), 2000, 123,
+                           collect_lambda=collect_lambda)
+        assert len(settles) * 10 < sum(row.rounds + 1 for row in stats.rows)
+
+
+def test_warm_runs_settle_only_their_tails(monkeypatch):
+    # capped runs come first and cut bad_pair's 48- and 97-round stretches,
+    # which later runs store whole; once both round-1 heads are stored, a
+    # traced, a quiet and an observed run each settle two tails: round 0's
+    # draw and the last, empty round
     scenario = build_bad_pair(100)
     valuations, strategies = scenario.valuations, scenario.strategies
     warm = PreparedBidders(valuations, strategies)
-    runs = ([(seed, None) for seed in range(20)]
-            + [(20 + cap, cap) for cap in range(100)]
-            + [(seed, None) for seed in range(200, 250)])
-    for seed, cap in runs:
-        cold = build_bad_pair(100)
-        assert _quiet_result(valuations, strategies, seed, cap,
-                             prepared=warm) == (
-            _quiet_result(cold.valuations, cold.strategies, seed, cap))
-        assert warm.segment_rounds == _stored_rounds(warm)
-    lengths = {head[0]: segment[0] for head, segment in warm.segments.items()}
-    assert lengths[(2, 1)] == lengths[(1, 2)] == 97
-
-
-def _complement_pair():
-    # items 0 and 1 are worth 10 together and item 2 is worth 5 with
-    # either: a split swaps 0 and 1 until both bidders turn to item 2 in
-    # the same round, and a sweep passes the pair back and forth until
-    # nobody bids
-    valuation = TableValuation((0, 1, 1, 10, 1, 5, 5, 10))
-    return (valuation,) * 2, (TruthfulStrategy(),) * 2
-
-
-def _traced_stretches(records, reads_last_bid):
-    """(end round, head state, segment) for every stretch in a trace: the
-    k >= 0 rounds from a head (round 0 or the round after a draw) that
-    draw nothing, then the tail, the first round that draws or demands
-    nothing, which ends it."""
-    n, m = len(records[0].bids), len(records[0].prices_before)
-    nobody = (0,) * n
-    stretches, head = [], 0
-    for end, record in enumerate(records):
-        if record.excess and all(len(d.candidates) == 1
-                                 for d in record.draws):
-            continue
-        played = records[head:end]
-        before = records[head - 1] if head else None
-        state = (before.provisional if before else nobody,
-                 records[head].prices_before,
-                 (before.bids if before else nobody)
-                 if reads_last_bid else None)
-        held = records[end - 1].provisional if end else nobody
-        stretches.append((end, state, (
-            len(played), tuple(r.prices_after for r in played),
-            tuple(r.provisional for r in played),
-            tuple(r.bids for r in played),
-            (record.bids, mechanism._plan_round(record.bids, held, m)))))
-        head = end + 1
-    return stretches
-
-
-def _stored_by_a_fresh_run(valuations, strategies, seed, cap=None):
-    """The segments a fresh PreparedBidders holds after the same quiet run
-    twice: the first sights every head it meets, the second stores."""
-    fresh = PreparedBidders(valuations, strategies)
-    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
-    assert not fresh.segments and fresh.sightings
-    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
-    assert fresh.segment_rounds == _stored_rounds(fresh)
-    return fresh.segments
-
-
-@pytest.mark.parametrize("bidders", [
-    _complement_pair, _previous_bid_bidders,
-    _scenario_bidders(lambda: build_bad_pair(10)),
-], ids=["complement_pair", "previous", "bad_pair_10"])
-def test_a_run_stores_each_stretch_it_plays_up_to_a_draw_or_the_end(bidders):
-    valuations, strategies = bidders()
-    reads_last_bid = PreparedBidders(valuations, strategies).reads_last_bid
-    ends = set()
-    for seed in range(20):
-        records = run_auction(valuations, strategies, seed).records
-        expected = {}
-        for end, head, segment in _traced_stretches(records, reads_last_bid):
-            expected[head] = segment
-            ends.add("empty" if not records[end].excess else "draw")
-        assert _stored_by_a_fresh_run(valuations, strategies, seed) == expected
-    if bidders is _complement_pair:
-        assert ends == {"draw", "empty"}
-
-
-@pytest.mark.parametrize("bidders", [
-    _complement_pair, _scenario_bidders(lambda: build_bad_pair(100)),
-], ids=["complement_pair", "bad_pair_100"])
-def test_a_run_capped_inside_a_stretch_stores_nothing_of_it(bidders):
-    valuations, strategies = bidders()
-    for seed in range(4):
-        records = run_auction(valuations, strategies, seed).records
-        stretches = _traced_stretches(records, False)
-        for cap in range(len(records) + 1):
-            # a stretch is stored once the round that ends it settles
-            expected = {
-                head: segment for end, head, segment in stretches
-                if end < cap or (end == cap and not records[end].excess)}
-            assert _stored_by_a_fresh_run(
-                valuations, strategies, seed, cap) == expected
-
-
-@pytest.mark.parametrize("limit", [47, 48, 49, 96, 97, 98])
-def test_a_stretch_longer_than_the_cache_limit_is_not_stored(
-        monkeypatch, limit):
-    monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", limit)
-    scenario = build_bad_pair(100)
-    valuations, strategies = scenario.valuations, scenario.strategies
-    lengths = set()
-    for seed in range(10):
-        records = run_auction(valuations, strategies, seed).records
-        expected = {head: segment for _, head, segment
-                    in _traced_stretches(records, False)}
-        stored = _stored_by_a_fresh_run(valuations, strategies, seed)
-        # the long stretch may empty the store of the round-0 segment
-        assert stored.items() <= expected.items()
-        assert {k for k, *_ in stored.values() if k} == {
-            k for k, *_ in expected.values() if k and k + 1 <= limit}
-        lengths.update(segment[0] for segment in stored.values())
-    # round 0 draws; then one stretch an auction, split (97 rounds and a
-    # tail) or sweep (48 rounds and a tail)
-    assert lengths - {0} == {k for k in (48, 97) if k + 1 <= limit}
+    for seed, cap in [(seed, seed) for seed in range(100)] + [
+            (seed, None) for seed in range(40)]:
+        _quiet_result(valuations, strategies, seed, cap, prepared=warm)
+    settles = _counting(monkeypatch, "_settle")
+    for seed in range(100, 110):
+        for options in ({}, {"record_trace": False},
+                        {"record_trace": False, "observer": lambda *call: 0}):
+            del settles[:]
+            outcome = run_auction(valuations, strategies, seed,
+                                  prepared=warm, **options)
+            assert len(settles) == 2 < outcome.rounds
 
 
 def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
@@ -1036,10 +881,11 @@ def test_a_memo_miss_after_a_jump_sees_the_cold_histories():
 
 @pytest.mark.parametrize("bidders, cap", [
     (_previous_bid_bidders, 6), (_previous_bid_bidders, 16),
-    (_scenario_bidders(lambda: build_bad_pair(100)), 60),
+    (lambda: _bidders(build_bad_pair(100)), 60),
 ], ids=["previous_6", "previous_16", "bad_pair_60"])
 def test_segments_stay_within_the_cache_limit(
         monkeypatch, bidders, cap):
+    # bad_pair's 97-round stretches are longer than the limit of 60
     monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
     valuations, strategies = bidders()
     prepared = PreparedBidders(valuations, strategies)
@@ -1049,42 +895,10 @@ def test_segments_stay_within_the_cache_limit(
         _quiet_result(valuations, strategies, seed, None, prepared=prepared)
         evictions += not heads <= prepared.segments.keys()
         assert _stored_rounds(prepared) == prepared.segment_rounds <= cap
+        assert len(prepared.sightings) <= cap
+        assert all(len(memo) <= cap for memo in prepared.memos)
         built += bool(prepared.segments)
     assert built and evictions
-
-
-def _trace_text(records):
-    buffer = io.StringIO()
-    mechanism.write_trace_jsonl(records, buffer)
-    return buffer.getvalue()
-
-
-@pytest.mark.parametrize("name", ["bad_pair_100", "truthful_tight",
-                                  "local_tight"])
-def test_a_warm_traced_run_jumps_with_the_cold_trace(monkeypatch, name):
-    # 40 seeds see every round-1 head of bad_pair at least twice; the
-    # tight builds store only stretches of k = 0, whose tails still settle
-    build = WARM_BUILDS[name]
-    valuations, strategies, warm = _warm(build, range(40))
-    settles = _counting_settles(monkeypatch)
-    plans = _counting_plans(monkeypatch)
-    jumped = skipped = 0
-    for seed in range(20, 40):
-        # cold: one run on a fresh PreparedBidders, which stores nothing
-        cold = build()
-        expected = run_auction(cold.valuations, cold.strategies, seed)
-        del settles[:], plans[:]
-        got = run_auction(valuations, strategies, seed, prepared=warm)
-        settled, planned = len(settles), len(plans)
-        # the same records, so the same trace bytes, and a trace that
-        # replays
-        assert got == expected
-        assert _trace_text(got.records) == _trace_text(expected.records)
-        assert replay_trace(got.records).rounds == got.rounds
-        assert settled <= got.rounds + 1 and planned <= got.rounds + 1
-        jumped += settled < got.rounds + 1
-        skipped += planned < got.rounds + 1
-    assert skipped and (jumped or name != "bad_pair_100")
 
 
 def test_a_one_off_call_keeps_no_store(monkeypatch):
@@ -1108,15 +922,300 @@ def test_a_one_off_call_keeps_no_store(monkeypatch):
         assert prepared.memos[0]
 
 
+# ---------------------------------------------------------------------------
+# Memoised rules and shared setups: runs equal fresh and uncached ones
+
+
+@st.composite
+def builtin_auctions(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    pool = []
+    valuations = []
+    for _ in range(n):
+        # bidders may share one valuation object
+        pick = draw(st.integers(0, len(pool)))
+        if pick == len(pool):
+            pool.append(draw(monotone_tables(min_m=m, max_m=m)))
+        valuations.append(pool[pick])
+    strategies = tuple(draw(st.sampled_from(BUILTIN_RULES)) for _ in range(n))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    return tuple(valuations), strategies, seeds
+
+
+def _outcome_or_error(valuations, strategies, seed):
+    try:
+        return run_auction(valuations, strategies, seed=seed)
+    except Divergence as exc:
+        return ("diverged", exc.outcome)
+    except InsecureProvisionalState as exc:
+        return ("insecure", exc.bidder, exc.witness_mask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(builtin_auctions())
+# seed 4 reaches a state of seed 2's with another last bid for local search
+@example(((_SHARED,) * 3, BUILTIN_RULES[:2] + BUILTIN_RULES[:1], [2, 4]))
+def test_memoised_runs_equal_uncached_runs(instance):
+    valuations, strategies, seeds = instance
+    uncached = tuple(CallableStrategy(s.propose) for s in strategies)
+    # each seed runs twice in a row: a call without prepared builds its own
+    # PreparedBidders, so neither run may depend on the runs before it
+    for seed in seeds:
+        reference = _outcome_or_error(valuations, uncached, seed)
+        for _ in range(2):
+            assert _outcome_or_error(valuations, strategies, seed) == reference
+
+
+SETUP_CASES = {
+    "truthful_tight": lambda: _bidders(build_truthful_tight(4, 3, 6)),
+    "bad_pair": lambda: _bidders(build_bad_pair(10)),
+    "local_tight": lambda: _bidders(build_local_tight(L=2)),
+    "mixed": _random_mixed_bidders,
+}
+
+
+def _auction_result(valuations, strategies, seed, **options):
+    try:
+        return run_auction(valuations, strategies, seed, max_rounds=60, **options)
+    except Divergence as exc:
+        return "diverged", exc.outcome
+    except InsecureProvisionalState as exc:
+        return "insecure", exc.bidder, exc.witness_mask
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, cap):
+    if cap is not None:
+        monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", cap)
+    valuations, strategies = SETUP_CASES[case]()
+    prepared = PreparedBidders(valuations, strategies)
+    for seed in range(10):
+        # fresh objects: a new setup and empty caches every time; traced
+        # and quiet runs alike fill the memos and the segments
+        for record_trace in (True, False):
+            fresh = _auction_result(*SETUP_CASES[case](), seed,
+                                    record_trace=record_trace)
+            assert _auction_result(valuations, strategies, seed,
+                                   record_trace=record_trace,
+                                   prepared=prepared) == fresh
+        if cap is not None:
+            assert all(len(memo) <= cap for memo in prepared.memos if memo)
+            assert prepared.segment_rounds <= cap
+            assert len(prepared.sightings) <= cap
+
+
+# ---------------------------------------------------------------------------
+# A warm store runs every round as a cold run
+
+
+def _observed_run(valuations, strategies, seed, **options):
+    """(outcome or ("diverged", partial), observer calls, λ report)."""
+    calls = []
+    scan = RationalityScan(valuations)
+
+    def observer(t, prices, provisional):
+        calls.append((t, prices, tuple(provisional)))
+        scan.update(t, prices, provisional)
+
+    try:
+        outcome = run_auction(valuations, strategies, seed, observer=observer,
+                              **options)
+    except Divergence as exc:
+        outcome = "diverged", exc.outcome
+    return outcome, calls, scan.report()
+
+
+def _warm(build, seeds=range(20)):
+    """A scenario's bidders and a PreparedBidders whose segments hold what
+    untraced runs of `seeds` stored."""
+    valuations, strategies = _bidders(build())
+    prepared = PreparedBidders(valuations, strategies)
+    for seed in seeds:
+        run_auction(valuations, strategies, seed, record_trace=False,
+                    prepared=prepared)
+    assert prepared.segments
+    return valuations, strategies, prepared
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
+], ids=["bad_pair", "truthful_tight"])
+def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
+    # a warm observed run takes the bids and plans of its head rounds from
+    # the segments' tails
+    valuations, strategies, warm = _warm(build)
+    # cold: fresh valuations, so empty decision memos and no segments
+    expected = [_observed_run(*_bidders(build()), seed, record_trace=False)
+                for seed in range(20, 40)]
+    plans = _counting(monkeypatch, "_plan_round")
+    got = [_observed_run(valuations, strategies, seed, record_trace=False,
+                         prepared=warm)
+           for seed in range(20, 40)]
+    assert got == expected
+    assert len(plans) < sum(outcome.rounds + 1 for outcome, _, _ in got)
+
+
+def test_the_round_cache_keys_on_last_bids_where_a_rule_reads_them():
+    valuations, strategies = _previous_bid_bidders()
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(30):
+        assert _auction_result(valuations, strategies, seed,
+                               record_trace=False, prepared=warm) == (
+            _auction_result(*_previous_bid_bidders(), seed,
+                            record_trace=False))
+    # some heads share holdings and prices and differ in last bids alone
+    starts = [(held, prices) for held, prices, last_bids in warm.segments]
+    assert len(set(starts)) < len(starts)
+
+
+def test_a_warm_round_cache_diverges_at_the_cold_round():
+    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
+    ends = set()
+    for seed in range(20, 30):
+        # a 48-round stretch from round 1 fits a cap of 49 and a 97-round
+        # one does not
+        for cap in (0, 1, 10, 49, 60):
+            expected = _observed_run(*_bidders(build_bad_pair(100)), seed,
+                                     max_rounds=cap, record_trace=False)
+            got = _observed_run(valuations, strategies, seed, max_rounds=cap,
+                                record_trace=False, prepared=warm)
+            assert got == expected
+            outcome = got[0][1] if type(got[0]) is tuple else got[0]
+            assert outcome.rounds <= cap
+            ends.add((cap, outcome.diverged))
+    assert (49, False) in ends and (49, True) in ends
+
+
+@pytest.mark.parametrize("other", [
+    ScriptedStrategy((0b01, 0b10, 0b01)), CallableStrategy(truthful_bid),
+], ids=["scripted", "callable"])
+def test_a_list_with_an_unmemoised_rule_has_no_round_cache(other):
+    valuations = build_bad_pair(10).valuations
+    strategies = (TruthfulStrategy(), other)
+    prepared = PreparedBidders(valuations, strategies)
+    assert prepared.segments is None
+    for seed in range(10):
+        fresh = build_bad_pair(10).valuations
+        assert _auction_result(valuations, strategies, seed,
+                               record_trace=False, prepared=prepared) == (
+            _auction_result(fresh, strategies, seed, record_trace=False))
+    assert prepared.segments is None and not prepared.sightings
+    if isinstance(other, CallableStrategy):
+        # a wrapped truthful rule bids as the stored truthful one
+        warm_valuations, truthful, warm = _warm(lambda: build_bad_pair(10))
+        assert truthful == (TruthfulStrategy(),) * 2
+        for seed in range(10):
+            assert _auction_result(valuations, strategies, seed,
+                                   record_trace=False) == (
+                _auction_result(warm_valuations, truthful, seed,
+                                record_trace=False, prepared=warm))
+
+
+class _Unkept(dict):
+    """A segment store that keeps nothing, so a run never jumps."""
+
+    def __setitem__(self, head, segment):
+        pass
+
+
+WARM_BUILDS = {
+    "bad_pair_100": lambda: build_bad_pair(100),
+    "bad_pair_10": lambda: build_bad_pair(10),
+    "truthful_tight": lambda: build_truthful_tight(4, 3, 6),
+    "local_tight": lambda: build_local_tight(L=3),
+}
+
+
+@pytest.mark.parametrize("build, collect_lambda", [
+    pytest.param(build, collect_lambda,
+                 id=name + ("-lambda" if collect_lambda else ""))
+    for name, build in WARM_BUILDS.items() for collect_lambda in (False, True)
+])
+def test_a_warm_segment_cache_gives_the_cold_rows(
+        monkeypatch, build, collect_lambda):
+    warm = build()
+    run_trials(warm, 300, 1, collect_lambda=collect_lambda)
+    got = run_trials(warm, 300, 2, collect_lambda=collect_lambda)
+    assert warm.prepared.segments
+    # cold: a fresh scenario that never jumps
+    cold = build()
+    monkeypatch.setattr(cold.prepared, "segments", _Unkept())
+    assert got == run_trials(cold, 300, 2, collect_lambda=collect_lambda)
+    assert not cold.prepared.segments
+
+
+def test_a_cap_inside_a_segment_diverges_at_the_cold_round():
+    valuations, strategies = _bidders(build_bad_pair(100))
+    warm = PreparedBidders(valuations, strategies)
+    for seed in range(40):  # enough to cache every stretch in full
+        _quiet_result(valuations, strategies, seed, None, prepared=warm)
+    assert max(len(segment[0]) for segment in warm.segments.values()) > 40
+    heads = set(warm.segments)
+    for seed in range(40, 45):
+        for cap in range(0, 100, 3):
+            assert _quiet_result(valuations, strategies, seed, cap,
+                                 prepared=warm) == (
+                _quiet_result(*_bidders(build_bad_pair(100)), seed, cap))
+    # the rounds of a segment that does not fit start no segments
+    assert set(warm.segments) == heads
+
+
+def test_a_stretch_cut_by_a_cap_is_stored_whole_by_a_later_run():
+    # capped runs stop inside the stretch from head (2, 1) and store none
+    # of it; later uncapped runs must store it whole, as long as its
+    # mirror (1, 2)
+    valuations, strategies = _bidders(build_bad_pair(100))
+    warm = PreparedBidders(valuations, strategies)
+    runs = ([(seed, None) for seed in range(20)]
+            + [(20 + cap, cap) for cap in range(100)]
+            + [(seed, None) for seed in range(200, 250)])
+    for seed, cap in runs:
+        assert _quiet_result(valuations, strategies, seed, cap,
+                             prepared=warm) == (
+            _quiet_result(*_bidders(build_bad_pair(100)), seed, cap))
+        assert warm.segment_rounds == _stored_rounds(warm)
+    lengths = {head[0]: len(segment[0])
+               for head, segment in warm.segments.items()}
+    assert lengths[(2, 1)] == lengths[(1, 2)] == 97
+
+
+@pytest.mark.parametrize("name", ["bad_pair_100", "truthful_tight",
+                                  "local_tight"])
+def test_a_warm_traced_run_jumps_with_the_cold_trace(monkeypatch, name):
+    # 40 seeds see every round-1 head of bad_pair at least twice; the
+    # tight builds store only stretches of k = 0, whose tails still settle
+    build = WARM_BUILDS[name]
+    valuations, strategies, warm = _warm(build, range(40))
+    settles = _counting(monkeypatch, "_settle")
+    plans = _counting(monkeypatch, "_plan_round")
+    jumped = skipped = 0
+    for seed in range(20, 40):
+        # cold: one run on a fresh PreparedBidders, which stores nothing
+        expected = run_auction(*_bidders(build()), seed)
+        del settles[:], plans[:]
+        got = run_auction(valuations, strategies, seed, prepared=warm)
+        settled, planned = len(settles), len(plans)
+        # the same records, so the same trace bytes, and a trace that
+        # replays
+        assert got == expected
+        assert _trace_text(got.records) == _trace_text(expected.records)
+        assert replay_trace(got.records).rounds == got.rounds
+        assert settled <= got.rounds + 1 and planned <= got.rounds + 1
+        jumped += settled < got.rounds + 1
+        skipped += planned < got.rounds + 1
+    assert skipped and (jumped or name != "bad_pair_100")
+
+
 def test_a_warm_observed_run_jumps_with_the_cold_observations(monkeypatch):
     # 40 seeds see both round-1 heads at least twice
     valuations, strategies, warm = _warm(lambda: build_bad_pair(100),
                                          range(40))
-    settles = _counting_settles(monkeypatch)
+    settles = _counting(monkeypatch, "_settle")
     for seed in range(20, 30):
         # cold: one run on a fresh PreparedBidders, which stores nothing
-        cold = build_bad_pair(100)
-        expected = _observed_run(cold.valuations, cold.strategies, seed,
+        expected = _observed_run(*_bidders(build_bad_pair(100)), seed,
                                  record_trace=False)
         del settles[:]
         got = _observed_run(valuations, strategies, seed, record_trace=False,
@@ -1126,3 +1225,104 @@ def test_a_warm_observed_run_jumps_with_the_cold_observations(monkeypatch):
         assert [call[0] for call in got[1]] == list(range(got[0].rounds))
         # two tails settle: round 0's draw and the last, empty round
         assert len(settles) == 2
+
+
+# ---------------------------------------------------------------------------
+# What a run stores: each stretch it plays, whole, within the limit
+
+
+def _traced_stretches(records, reads_last_bid):
+    """(end round, head state, segment) for every stretch in a trace: the
+    k >= 0 rounds from a head (round 0 or the round after a draw) that
+    draw nothing, then the tail, the first round that draws or demands
+    nothing, which ends it."""
+    n, m = len(records[0].bids), len(records[0].prices_before)
+    nobody = (0,) * n
+    stretches, head = [], 0
+    for end, record in enumerate(records):
+        if record.excess and all(len(d.candidates) == 1
+                                 for d in record.draws):
+            continue
+        played = records[head:end]
+        before = records[head - 1] if head else None
+        state = (before.provisional if before else nobody,
+                 records[head].prices_before,
+                 (before.bids if before else nobody)
+                 if reads_last_bid else None)
+        held = records[end - 1].provisional if end else nobody
+        stretches.append((end, state, (
+            tuple(r.prices_after for r in played),
+            tuple(r.provisional for r in played),
+            tuple(r.bids for r in played),
+            (record.bids, mechanism._plan_round(record.bids, held, m)))))
+        head = end + 1
+    return stretches
+
+
+def _stored_by_a_fresh_run(valuations, strategies, seed, cap=None):
+    """The segments a fresh PreparedBidders holds after the same quiet run
+    twice: the first sights every head it meets, the second stores."""
+    fresh = PreparedBidders(valuations, strategies)
+    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
+    assert not fresh.segments and fresh.sightings
+    _quiet_result(valuations, strategies, seed, cap, prepared=fresh)
+    assert fresh.segment_rounds == _stored_rounds(fresh)
+    return fresh.segments
+
+
+@pytest.mark.parametrize("bidders", [
+    _complement_pair, _previous_bid_bidders,
+    lambda: _bidders(build_bad_pair(10)),
+], ids=["complement_pair", "previous", "bad_pair_10"])
+def test_a_run_stores_each_stretch_it_plays_up_to_a_draw_or_the_end(bidders):
+    valuations, strategies = bidders()
+    reads_last_bid = PreparedBidders(valuations, strategies).reads_last_bid
+    ends = set()
+    for seed in range(20):
+        records = run_auction(valuations, strategies, seed).records
+        expected = {}
+        for end, head, segment in _traced_stretches(records, reads_last_bid):
+            expected[head] = segment
+            ends.add("empty" if not records[end].excess else "draw")
+        assert _stored_by_a_fresh_run(valuations, strategies, seed) == expected
+    if bidders is _complement_pair:
+        assert ends == {"draw", "empty"}
+
+
+@pytest.mark.parametrize("bidders", [
+    _complement_pair, lambda: _bidders(build_bad_pair(100)),
+], ids=["complement_pair", "bad_pair_100"])
+def test_a_run_capped_inside_a_stretch_stores_nothing_of_it(bidders):
+    valuations, strategies = bidders()
+    for seed in range(4):
+        records = run_auction(valuations, strategies, seed).records
+        stretches = _traced_stretches(records, False)
+        for cap in range(len(records) + 1):
+            # a stretch is stored once the round that ends it settles
+            expected = {
+                head: segment for end, head, segment in stretches
+                if end < cap or (end == cap and not records[end].excess)}
+            assert _stored_by_a_fresh_run(
+                valuations, strategies, seed, cap) == expected
+
+
+@pytest.mark.parametrize("limit", [47, 48, 49, 96, 97, 98])
+def test_a_stretch_longer_than_the_cache_limit_is_not_stored(
+        monkeypatch, limit):
+    monkeypatch.setattr(mechanism, "DECISION_CACHE_LIMIT", limit)
+    valuations, strategies = _bidders(build_bad_pair(100))
+    lengths = set()
+    for seed in range(10):
+        records = run_auction(valuations, strategies, seed).records
+        expected = {head: segment for _, head, segment
+                    in _traced_stretches(records, False)}
+        stored = _stored_by_a_fresh_run(valuations, strategies, seed)
+        # the long stretch may empty the store of the round-0 segment
+        assert stored.items() <= expected.items()
+        assert {len(rows) for rows, *_ in stored.values() if rows} == {
+            len(rows) for rows, *_ in expected.values()
+            if rows and len(rows) + 1 <= limit}
+        lengths.update(len(segment[0]) for segment in stored.values())
+    # round 0 draws; then one stretch an auction, split (97 rounds and a
+    # tail) or sweep (48 rounds and a tail)
+    assert lengths - {0} == {k for k in (48, 97) if k + 1 <= limit}
