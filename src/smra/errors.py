@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its int and alpha checks."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def require_int(name: str, value, least: int | None = None,
@@ -12,6 +14,18 @@ def require_int(name: str, value, least: int | None = None,
         return value
     bound = "" if least is None else f" >= {least}"
     raise error(f"{name} must be an int{bound}, got {value!r}")
+
+
+def require_alpha(alpha) -> Fraction:
+    """Return alpha as an exact Fraction >= 1, else raise ValueError (on a
+    bool too, as require_int does)."""
+    try:
+        exact = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError):
+        exact = 0
+    if isinstance(alpha, bool) or exact < 1:
+        raise ValueError(f"alpha must be a rational number >= 1, got {alpha!r}")
+    return exact
 
 
 class SmraError(Exception):

@@ -26,7 +26,7 @@ from math import inf
 from typing import Sequence, Union
 
 from .errors import (GenerationFailed, NotMonotone, OracleTooLarge,
-                     UniverseMismatch, require_int)
+                     UniverseMismatch, require_alpha, require_int)
 from .itemsets import items_of, iter_items, subset_sums
 
 RationalLike = Union[int, Fraction]
@@ -392,20 +392,14 @@ def _check_table_monotone(table, m: int) -> None:
 def degree_of_submodularity(valuation: Valuation) -> SubmodularityReport:
     """Exact degree of submodularity, with a minimizing witness.
 
-    Runs in O(m^2 * 2^m): for each item x a lattice sweep computes, for
-    every context B avoiding x, the smallest marginal of x over all
-    subsets of B, so each (x, B) pair is charged the best strict
-    sub-context without enumerating pairs of sets.
+    Checks that the table is monotone, then runs in O(m^2 * 2^m): for each
+    item x a lattice sweep computes, for every context B avoiding x, the
+    smallest marginal of x over all subsets of B, so each (x, B) pair is
+    charged the best strict sub-context without enumerating pairs of sets.
     """
     m = valuation.universe_size
     table = valuation.value_table()
     _check_table_monotone(table, m)
-    return _submodularity_report(table, m)
-
-
-def _submodularity_report(table, m: int) -> SubmodularityReport:
-    """degree_of_submodularity's scoring of a table already checked to be
-    monotone."""
     best_num = best_den = 0  # ratio best_num / best_den; den == 0 <=> unset
     best_witness = None
     size = 1 << m
@@ -445,23 +439,16 @@ def _submodularity_report(table, m: int) -> SubmodularityReport:
     if best_den == 0:
         return SubmodularityReport(degree=inf, alpha=Fraction(1), witness=None)
     degree = Fraction(best_num, best_den)
-    if degree == 0:
-        alpha: Fraction | float = inf
-    else:
-        alpha = max(Fraction(1), 1 / degree)
+    alpha = inf if degree == 0 else max(Fraction(1), 1 / degree)
     return SubmodularityReport(degree=degree, alpha=alpha, witness=best_witness)
 
 
 def is_alpha_near_submodular(valuation: Valuation, alpha: RationalLike) -> bool:
     """Whether every small-context marginal is at least 1/alpha of every
     larger-context marginal, i.e. degree >= 1/alpha."""
-    alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    report = degree_of_submodularity(valuation)
-    if report.degree == inf:
-        return True
-    return report.degree >= Fraction(1) / alpha
+    floor = 1 / require_alpha(alpha)
+    degree = degree_of_submodularity(valuation).degree
+    return degree == inf or degree >= floor
 
 
 # ---------------------------------------------------------------------------
@@ -473,30 +460,33 @@ _GENERATION_ATTEMPTS = 200
 def random_near_submodular(
     m: int, alpha: RationalLike, value_cap: int, seed: int
 ) -> TableValuation:
-    """Random monotone valuation guaranteed alpha-near-submodular.
+    """Random monotone valuation, alpha-near-submodular by construction.
 
-    Built constructively as a sum of an additive part and one or two
-    bundle gadgets whose individual degrees are at least 1/alpha (a sum of
-    monotone parts can only be as bad as its worst part, never worse).
-    The result is re-checked exactly before being returned. Deterministic
-    per seed. Total value is kept within (0, value_cap]; if the budget of
-    attempts runs out (e.g. value_cap == 0), raises GenerationFailed.
+    Each attempt sums an additive part and, for m >= 2, one or two gadgets
+    on a random item set xmask: a "step" (s >= 1 items of xmask are worth
+    ((s-1)*p + q) * scale, where alpha = p/q in lowest terms) or a "cap"
+    (any overlap is worth scale). The first table with total value in
+    (0, value_cap] is returned, so a seed fixes the result; when no attempt
+    fits (e.g. value_cap == 0), raises GenerationFailed.
 
-    m is capped at 10, well below TABLE_LIMIT, because every attempt pays
-    the exact O(m^2 * 2^m) recheck and a call may make up to
-    _GENERATION_ATTEMPTS (200) of them.
+    Lemma: for A strictly inside B and x outside B, let a_i and b_i be x's
+    marginals in part i at A and at B. The additive part has a_i = b_i, the
+    cap gadget is submodular, and the step gadget's marginal for an item of
+    xmask is q*scale into an empty overlap and p*scale after it (0 for other
+    items). So each part has a_i >= b_i * q/p, the sum has sum(a_i) >=
+    (q/p) * sum(b_i), and that is degree >= 1/alpha.
+
+    m <= 10, well below TABLE_LIMIT, keeps a call's up to 200 tables of
+    2**m entries cheap and every returned one exactly scorable by tests.
     """
     if require_int("m", m, 1) > 10:
         raise ValueError(f"m must be in 1..10, got {m}")
-    alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    alpha = require_alpha(alpha)
     require_int("value_cap", value_cap, 0)
     p, q = alpha.numerator, alpha.denominator
 
     rng = random.Random(require_int("seed", seed))
     size = 1 << m
-    target_floor = Fraction(1) / alpha
     for attempt in range(_GENERATION_ATTEMPTS):
         shrink = attempt // 25  # progressively smaller values on retries
         w_hi = max(0, 2 - shrink)
@@ -521,14 +511,9 @@ def random_near_submodular(
                     else:  # capped: any overlap is worth the same
                         table[mask] += scale
 
-        if not 0 < table[size - 1] <= value_cap:
-            continue
-        # TableValuation checks the table; score it without a second check
-        candidate = TableValuation(tuple(table))
-        report = _submodularity_report(candidate.values, m)
-        if report.degree == inf or report.degree >= target_floor:
-            return candidate
+        if 0 < table[size - 1] <= value_cap:
+            return TableValuation(tuple(table))
     raise GenerationFailed(
-        f"no valuation with total value in (0, {value_cap}] and degree >= "
-        f"{target_floor} found in {_GENERATION_ATTEMPTS} attempts"
+        f"no valuation with total value in (0, {value_cap}] found in "
+        f"{_GENERATION_ATTEMPTS} attempts"
     )

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent brute-force oracles and context builders.
+"""Shared test helpers: independent brute-force oracles, context builders
+and the random instances of the criteria 2/4/6 bound suites.
 
 The oracles here are deliberately naive re-implementations (triple
 enumeration, full assignment enumeration, every bid of every bidding rule
@@ -18,11 +19,25 @@ from typing import Optional, Sequence
 
 from smra import (
     AuctionOutcome, BidContext, Draw, InvalidBid, RationalityReport,
-    RoundRecord, Valuation,
+    RoundRecord, Valuation, derive_seed, random_near_submodular,
 )
 from smra.itemsets import (
     items_of, iter_items, popcount_table, submasks, subset_sums,
 )
+
+
+def random_instance(master_seed, index, max_m=6, max_n=4):
+    """One random α-near-submodular instance: (alpha, valuations)."""
+    rng = random.Random(derive_seed(master_seed, index))
+    m = rng.randint(1, max_m)
+    n = rng.randint(1, max_n)
+    alpha = rng.choice([1, 2, 3])
+    cap = rng.randint(10, 40)
+    valuations = tuple(
+        random_near_submodular(m, alpha, cap, rng.randrange(2**32))
+        for _ in range(n)
+    )
+    return alpha, valuations
 
 
 def naive_degree(valuation: Valuation):

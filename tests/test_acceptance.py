@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import naive_optimal
+from helpers import naive_optimal, random_instance
 from smra import (
     LocallyOptimalStrategy,
     SecureProfitMaxStrategy,
@@ -38,20 +38,6 @@ def report(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"criterion {number}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def random_instance(master_seed, index, max_m=6, max_n=4):
-    """One random α-near-submodular instance: (alpha, valuations)."""
-    rng = random.Random(derive_seed(master_seed, index))
-    m = rng.randint(1, max_m)
-    n = rng.randint(1, max_n)
-    alpha = rng.choice([1, 2, 3])
-    cap = rng.randint(10, 40)
-    valuations = tuple(
-        random_near_submodular(m, alpha, cap, rng.randrange(2**32))
-        for _ in range(n)
-    )
-    return alpha, valuations
 
 
 def bound_suite(master_seed, strategy_factory, bound, lam_cap, instances=500):

@@ -104,14 +104,17 @@ def test_degree_witness_reproduces_the_ratio(valuation):
     assert Fraction(num, den) == report.degree
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    m=st.integers(1, 6),
-    alpha=st.sampled_from([1, 2, 3]),
-    value_cap=st.integers(10, 40),
+    m=st.integers(1, 10),
+    alpha=st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 2), 3,
+                           Fraction(7, 3)]),
+    value_cap=st.integers(1, 200),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_generator_output_is_certified_and_deterministic(m, alpha, value_cap, seed):
+    # the generator does not score its tables: this exact check is their
+    # certificate
     v1 = random_near_submodular(m, alpha, value_cap, seed)
     v2 = random_near_submodular(m, alpha, value_cap, seed)
     assert v1.value_table() == v2.value_table()
@@ -1042,7 +1045,7 @@ def _warm(build, seeds=range(20)):
 @pytest.mark.parametrize("build", [
     lambda: build_bad_pair(100), lambda: build_truthful_tight(4, 3, 6),
 ], ids=["bad_pair", "truthful_tight"])
-def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
+def test_a_warm_store_gives_the_cold_observations(monkeypatch, build):
     # a warm observed run takes the bids and plans of its head rounds from
     # the segments' tails
     valuations, strategies, warm = _warm(build)
@@ -1057,41 +1060,10 @@ def test_a_warm_round_cache_gives_the_cold_observations(monkeypatch, build):
     assert len(plans) < sum(outcome.rounds + 1 for outcome, _, _ in got)
 
 
-def test_the_round_cache_keys_on_last_bids_where_a_rule_reads_them():
-    valuations, strategies = _previous_bid_bidders()
-    warm = PreparedBidders(valuations, strategies)
-    for seed in range(30):
-        assert _auction_result(valuations, strategies, seed,
-                               record_trace=False, prepared=warm) == (
-            _auction_result(*_previous_bid_bidders(), seed,
-                            record_trace=False))
-    # some heads share holdings and prices and differ in last bids alone
-    starts = [(held, prices) for held, prices, last_bids in warm.segments]
-    assert len(set(starts)) < len(starts)
-
-
-def test_a_warm_round_cache_diverges_at_the_cold_round():
-    valuations, strategies, warm = _warm(lambda: build_bad_pair(100))
-    ends = set()
-    for seed in range(20, 30):
-        # a 48-round stretch from round 1 fits a cap of 49 and a 97-round
-        # one does not
-        for cap in (0, 1, 10, 49, 60):
-            expected = _observed_run(*_bidders(build_bad_pair(100)), seed,
-                                     max_rounds=cap, record_trace=False)
-            got = _observed_run(valuations, strategies, seed, max_rounds=cap,
-                                record_trace=False, prepared=warm)
-            assert got == expected
-            outcome = got[0][1] if type(got[0]) is tuple else got[0]
-            assert outcome.rounds <= cap
-            ends.add((cap, outcome.diverged))
-    assert (49, False) in ends and (49, True) in ends
-
-
 @pytest.mark.parametrize("other", [
     ScriptedStrategy((0b01, 0b10, 0b01)), CallableStrategy(truthful_bid),
 ], ids=["scripted", "callable"])
-def test_a_list_with_an_unmemoised_rule_has_no_round_cache(other):
+def test_a_list_with_an_unmemoised_rule_has_no_store(other):
     valuations = build_bad_pair(10).valuations
     strategies = (TruthfulStrategy(), other)
     prepared = PreparedBidders(valuations, strategies)

@@ -26,7 +26,7 @@ from smra import (
 )
 from smra import valuations
 
-from helpers import naive_degree
+from helpers import naive_degree, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +311,37 @@ def test_is_alpha_rejects_small_alpha():
         is_alpha_near_submodular(AdditiveValuation((1,)), Fraction(1, 2))
 
 
+ALPHA_USERS = {
+    "is_alpha_near_submodular":
+        lambda alpha: is_alpha_near_submodular(AdditiveValuation((1, 2)), alpha),
+    "random_near_submodular":
+        lambda alpha: random_near_submodular(3, alpha, 20, seed=0),
+}
+
+
+@pytest.mark.parametrize("user", sorted(ALPHA_USERS))
+@pytest.mark.parametrize("alpha", [
+    float("inf"), float("-inf"), float("nan"), None, True, False, "x",
+    Fraction(1, 2), 0.5, 0, -3,
+])
+def test_a_bad_alpha_is_refused_by_name(user, alpha):
+    # Fraction() alone raises OverflowError for inf and TypeError for None,
+    # and takes True as 1
+    with pytest.raises(ValueError, match="alpha must be"):
+        ALPHA_USERS[user](alpha)
+
+
+@pytest.mark.parametrize("alpha, exact", [
+    (1, 1), (3, 3), (Fraction(3, 2), Fraction(3, 2)), (2.5, Fraction(5, 2)),
+    ("7/3", Fraction(7, 3)),
+])
+def test_every_accepted_alpha_keeps_its_fraction(alpha, exact):
+    assert (random_near_submodular(5, alpha, 60, seed=3)
+            == random_near_submodular(5, exact, 60, seed=3))
+    assert (is_alpha_near_submodular(SymmetricStepValuation(3, 7, 3), alpha)
+            == (exact >= Fraction(7, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Random generation
 
@@ -346,26 +377,51 @@ def test_generation_respects_value_cap():
 
 
 def test_generation_checks_each_table_once(monkeypatch):
-    # TableValuation checks a candidate's monotonicity; scoring it must not
-    # check it again
-    checks, tables = [], []
-    real_check, real_table = (valuations._check_table_monotone,
-                              valuations.TableValuation)
+    # TableValuation checks a candidate's monotonicity once; the generator
+    # returns that object without reading it again, so it scores nothing
+    checks, tables, reads = [], [], []
+    real_check = valuations._check_table_monotone
     monkeypatch.setattr(valuations, "_check_table_monotone",
                         lambda *args: checks.append(1) or real_check(*args))
-    monkeypatch.setattr(valuations, "TableValuation",
-                        lambda values: tables.append(1) or real_table(values))
+
+    class Watched(TableValuation):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return super().__getattribute__(name)
+
+    def built(values):
+        table = Watched(values)
+        tables.append(table)
+        del reads[:]
+        return table
+
+    monkeypatch.setattr(valuations, "TableValuation", built)
     for seed in range(12):
         for alpha in (1, 2, 3):
             del checks[:], tables[:]
             v = random_near_submodular(4, alpha, 20, seed=seed)
-            assert isinstance(v, real_table)
-            assert len(checks) == len(tables) >= 1
+            assert tables == [v] and checks == [1]
+            assert reads == []
 
 
 def test_generation_budget_exhausts():
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(GenerationFailed, match=r"^no valuation with total "
+                       r"value in \(0, 0\] found in 200 attempts$"):
         random_near_submodular(3, 1, 0, seed=0)
+
+
+def test_every_bound_suite_table_is_alpha_near_submodular():
+    # the generator certifies its tables by construction; this scores every
+    # table of the criteria 2, 4 and 6 suites (master seeds 2001, 2004 and
+    # 2006) exactly
+    tables = 0
+    for master_seed in (2001, 2004, 2006):
+        for index in range(500):
+            alpha, suite_valuations = random_instance(master_seed, index)
+            for v in suite_valuations:
+                assert is_alpha_near_submodular(v, alpha), (master_seed, index)
+                tables += 1
+    assert tables == 3690
 
 
 def test_generation_parameter_validation():
