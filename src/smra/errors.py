@@ -18,9 +18,11 @@ def require_int(name: str, value, least: int | None = None,
 
 def require_alpha(alpha) -> Fraction:
     """Return alpha as an exact Fraction >= 1, else raise ValueError (on a
-    bool too, as require_int does)."""
+    bool too, as require_int does). A float is read through its repr, the
+    shortest decimal that rounds to it, so 2.1 is 21/10 and not the binary
+    fraction nearest it; inf and nan are refused."""
     try:
-        exact = Fraction(alpha)
+        exact = Fraction(repr(alpha) if isinstance(alpha, float) else alpha)
     except (TypeError, ValueError, OverflowError):
         exact = 0
     if isinstance(alpha, bool) or exact < 1:

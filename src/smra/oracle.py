@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import inf
 from operator import le, sub
@@ -41,14 +42,20 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     the row of best splits, and each bidder's layer max-plus merges her
     table into it. Until some layer gains, the row is all zero, so the
     merge is the subset-max closure max(0, table[s] for nonempty s inside
-    the mask): m sweeps of the row instead of a 3**m submask scan, exact
-    for any table. Every later layer scans each mask's submasks.
+    the mask): m sweeps over cached slice pairs of the row (_subset_max)
+    instead of a 3**m submask scan, exact for any table. Every later
+    layer scans each mask's submasks.
 
     A layer that raises no subset's best split is idle, and so is every
     later layer with an equal value table: merging is commutative and
     associative, so a table that adds nothing to the row now adds nothing
     to any later row either. Copies of one valuation thus cost at most one
-    idle layer once further copies stop raising any split.
+    idle layer once further copies stop raising any split. Copies match by
+    identity first, then by value: a table object is hashed once, when
+    first seen, and numbered by its value, so a later bidder holding the
+    same object reuses its number unhashed while an equal table from
+    another object still gets the same number. Every numbered table is
+    held until the call returns, so no id is recycled within a call.
 
     A copy of a table whose layer gained costs no layer at all while the
     row is supermodular. Every layer keeps the bidder's whole-mask bundle
@@ -77,31 +84,30 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     size = 1 << m
     zero = best = [0] * size
     layers: list[Optional[tuple[tuple[int, ...], list[int]]]] = []
-    idle: set[tuple[int, ...]] = set()  # tables whose layer left best as is
-    merged: set[tuple[int, ...]] = set()  # tables whose layer raised best
+    numbered: dict[int, tuple] = {}  # id(table) -> (table, number)
+    numbers: dict[tuple[int, ...], int] = {}  # table value -> number
+    idle: set[int] = set()  # numbers whose layer left best as is
+    merged: set[int] = set()  # numbers whose layer raised best
     supermodular = None  # of best, tested on the first copy that needs it
     for v in valuations:
         table = v.value_table()
-        if table in idle:
+        known = numbered.get(id(table))
+        if known is None:  # a new object: hash it once
+            known = numbered[id(table)] = (
+                table, numbers.setdefault(table, len(numbers)))
+        number = known[1]
+        if number in idle:
             layers.append(None)
             continue
-        if table in merged:
+        if number in merged:
             if supermodular is None:
                 supermodular = _supermodular(best, m)
             if supermodular:
-                idle.add(table)
+                idle.add(number)
                 layers.append(None)
                 continue
         if best is zero:
-            cur = list(table)
-            cur[0] = 0
-            bit = 1
-            while bit < size:  # each mask holding bit also sees mask ^ bit
-                for lo in range(bit, size, 2 * bit):
-                    for mask in range(lo, lo + bit):
-                        if cur[mask - bit] > cur[mask]:
-                            cur[mask] = cur[mask - bit]
-                bit <<= 1
+            cur = _subset_max(table)
         else:
             cur = [0] * size
             for mask in range(size):
@@ -114,11 +120,11 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
                     sub = (sub - 1) & mask
                 cur[mask] = top
         if cur == best:
-            idle.add(table)
+            idle.add(number)
             layers.append(None)
         else:
             layers.append((table, best))
-            merged.add(table)
+            merged.add(number)
             best = cur
             supermodular = None
 
@@ -142,15 +148,45 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     return OptimalAllocation(welfare=best[size - 1], assignment=tuple(assignment))
 
 
-def _slice_pairs(seq: Sequence[int], bit: int) -> list[tuple]:
-    """(low, high) slices of seq that pair every index s without bit with
-    s | bit: one stride slice pair per value of the bits below bit, or
-    one block pair per run of 2 * bit indices, whichever are fewer."""
+@lru_cache(maxsize=None)
+def _slice_pairs(size: int, bit: int) -> tuple[tuple[slice, slice], ...]:
+    """(low, high) slices of a sequence of length size that pair every
+    index s without bit with s | bit: one stride slice pair per value of
+    the bits below bit, or one block pair per run of 2 * bit indices,
+    whichever are fewer.
+
+    Built once per (size, bit) and shared by every caller, hence a tuple;
+    size and bit are powers of two no larger than 2**TABLE_LIMIT, so the
+    cache stays a few hundred entries at most.
+    """
     step = 2 * bit
-    if bit < len(seq) // step:
-        return [(seq[r::step], seq[r + bit::step]) for r in range(bit)]
-    return [(seq[lo:lo + bit], seq[lo + bit:lo + step])
-            for lo in range(0, len(seq), step)]
+    if bit < size // step:
+        return tuple((slice(r, None, step), slice(r + bit, None, step))
+                     for r in range(bit))
+    return tuple((slice(lo, lo + bit), slice(lo + bit, lo + step))
+                 for lo in range(0, size, step))
+
+
+def _subset_max(table: Sequence[int]) -> list[int]:
+    """max(0, table[s] for nonempty s inside mask), for every mask.
+
+    One sweep per bit: each mask holding bit takes the max of itself and
+    mask ^ bit, so after the sweeps of bits 0..i a mask has seen every
+    submask that differs from it only there. A slice pair that is already
+    ordered, as every pair of a monotone table is, costs one compare pass
+    and no write.
+    """
+    size = len(table)
+    cur = list(table)
+    cur[0] = 0
+    bit = 1
+    while bit < size:
+        for low, high in _slice_pairs(size, bit):
+            below, above = cur[low], cur[high]
+            if not all(map(le, below, above)):
+                cur[high] = list(map(max, below, above))
+        bit <<= 1
+    return cur
 
 
 def _supermodular(row: Sequence[int], m: int) -> bool:
@@ -166,13 +202,13 @@ def _supermodular(row: Sequence[int], m: int) -> bool:
     for i in range(m):
         bit = 1 << i
         d: list[int] = []
-        for low, high in _slice_pairs(row, bit):
-            d += map(sub, high, low)
+        for low, high in _slice_pairs(size, bit):
+            d += map(sub, row[high], row[low])
         strided = bit < size // (2 * bit)  # as _slice_pairs chooses
         later = range(m - 1 - i) if strided else range(i, m - 1)
         for b in later:
-            if not all(all(map(le, low, high))
-                       for low, high in _slice_pairs(d, 1 << b)):
+            if not all(all(map(le, d[low], d[high]))
+                       for low, high in _slice_pairs(size // 2, 1 << b)):
                 return False
     return True
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -667,6 +666,9 @@ def run_trials(
     if jobs == 1:
         rows = chunk(range(trials))
     else:
+        # imported here so that `import smra` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-trials // jobs)
         parts = [range(trials)[start:start + size]
                  for start in range(0, trials, size)]

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     naive_optimal,
     reference_measure_rationality,
+    reference_optimal_welfare,
     supermodular_negatives,
     supermodular_values,
 )
@@ -38,6 +39,7 @@ from smra.scenarios import (
     build_superadditive,
     build_truthful_tight,
 )
+from smra.valuations import Valuation
 
 CORPUS = [
     (build_bad_pair(10), 10),
@@ -94,6 +96,76 @@ def test_optimal_welfare_of_the_wide_truthful_tight_instance(monkeypatch):
     assert result.welfare == 34
     assert result.assignment == (0xFFF,) + (0,) * 29
     assert tested == [12]
+
+
+class _CountingTable(tuple):
+    """A value table that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+class _Copied(Valuation):
+    """Serves its table object itself or, given a list, a new tuple of it
+    on every call."""
+
+    def __init__(self, table):
+        self.table = table
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.table).bit_length() - 1
+
+    def value(self, mask: int) -> int:
+        return self.table[mask]
+
+    def value_table(self):
+        return tuple(self.table) if type(self.table) is list else self.table
+
+
+def test_copies_of_one_table_object_hash_it_once(monkeypatch):
+    table = _CountingTable(
+        build_truthful_tight(6, 3, 30).valuations[0].value_table())
+    monkeypatch.setattr(_CountingTable, "hashes", 0)
+    result = optimal_welfare((_Copied(table),) * 30)
+    assert (result.welfare, result.assignment) == (16, (63,) + (0,) * 29)
+    assert _CountingTable.hashes == 1
+    # distinct objects with one value still match by value, one hash each
+    monkeypatch.setattr(_CountingTable, "hashes", 0)
+    copies = [_Copied(_CountingTable(table)) for _ in range(3)]
+    assert optimal_welfare(copies * 10) == result
+    assert _CountingTable.hashes == 3
+
+
+def test_fresh_tables_never_share_a_verdict_by_id():
+    # each call builds a new tuple, so the second zero table, once
+    # dropped, could hand its id to a later table of the same size
+    zero = _Copied([0] * 8)
+    gains = [_Copied([7, 6, 5, 4, 3, 2, 1, 0]), _Copied([0, 1, 1, 2, 1, 2, 2, 3])]
+    for valuations in ([zero, zero, *gains], [zero, *gains] * 3):
+        result = optimal_welfare(valuations)
+        assert ((result.welfare, result.assignment)
+                == reference_optimal_welfare(valuations))
+
+
+def test_slice_pairs_pair_every_index_with_its_bit_set():
+    for m in range(1, 11):
+        size = 1 << m
+        index = range(size)
+        kinds = set()
+        for i in range(m):
+            bit = 1 << i
+            pairs = oracle._slice_pairs(size, bit)
+            low = [s for below, _ in pairs for s in index[below]]
+            high = [s for _, above in pairs for s in index[above]]
+            assert sorted(zip(low, high)) == [
+                (s, s | bit) for s in index if not s & bit]
+            kinds.add(index[pairs[0][0]].step)  # 2 * bit strides, 1 blocks
+        # low bits take strides, high bits blocks; m = 1 has one block pair
+        assert (kinds == {1}) if m == 1 else (1 in kinds and len(kinds) > 1)
 
 
 def test_the_supermodularity_check_equals_the_pairwise_definition():

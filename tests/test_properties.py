@@ -52,6 +52,7 @@ from smra import (
 from smra import mechanism
 from smra.mechanism import (AuctionOutcome, PreparedBidders, RoundRecord,
                             default_max_rounds)
+from smra.oracle import _subset_max
 from smra.scenarios import (
     TrialRow, build_bad_pair, build_local_tight, build_nonsecure_punishment,
     build_scripted_partition, build_superadditive, build_truthful_tight,
@@ -645,6 +646,47 @@ def test_optimal_welfare_equals_the_plain_dp_on_raw_tables(valuations):
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
         valuations
     )
+
+
+@st.composite
+def closure_tables(draw):
+    """2**m values, m <= 10: raw (any sign, the empty bundle included),
+    monotone, so every slice pair is already ordered, or monotone with a
+    few entries moved, so some pairs are and some are not."""
+    m = draw(st.integers(1, 10))
+    size = 1 << m
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("raw", "monotone", "moved")))
+    if kind == "raw":
+        return [rng.randint(-6, 6) for _ in range(size)]
+    weights = [(rng.randrange(1, size), rng.randint(0, 3)) for _ in range(m)]
+    modular = [rng.randint(0, 3) for _ in range(m)]
+    table = list(supermodular_values(m, weights, modular))
+    if kind == "moved":
+        for _ in range(rng.randint(1, 4)):
+            table[rng.randrange(size)] += rng.randint(-5, 5)
+    return table
+
+
+def _plain_subset_max(table):
+    out = []
+    for mask in range(len(table)):
+        top = 0
+        sub = mask
+        while sub:
+            top = max(top, table[sub])
+            sub = (sub - 1) & mask
+        out.append(top)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_tables())
+# m = 1 has only a block pair; m = 10 sweeps 5 stride and 5 block bits
+@example([3, -2])
+@example([(mask * 37) % 11 - 5 for mask in range(1 << 10)])
+def test_the_subset_max_closure_equals_the_plain_max(table):
+    assert _subset_max(table) == _plain_subset_max(table)
 
 
 # ---------------------------------------------------------------------------

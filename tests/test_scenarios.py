@@ -4,8 +4,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +378,17 @@ def test_rows_do_not_depend_on_jobs():
         assert [r.seed for r in serial.rows] == [
             derive_seed(3, i) for i in range(trials)
         ]
+
+
+def test_importing_smra_loads_no_process_pool():
+    # only a run with jobs > 1 imports the pool
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import smra; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'}"
+             " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_trial_traces_replay(tmp_path):

@@ -342,6 +342,14 @@ def test_every_accepted_alpha_keeps_its_fraction(alpha, exact):
             == (exact >= Fraction(7, 3)))
 
 
+def test_a_float_alpha_is_read_as_its_decimal():
+    # taken exactly, 2.1 is p/q with q near 2.25e15: every step gadget is
+    # worth at least q, never fits the cap, and no table is complementary
+    for seed in range(50):
+        assert (random_near_submodular(5, 2.1, 40, seed)
+                == random_near_submodular(5, Fraction(21, 10), 40, seed))
+
+
 # ---------------------------------------------------------------------------
 # Random generation
 
