@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from inspect import signature
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,7 +33,8 @@ from .valuations import degree_of_submodularity, valuation_from_spec
 
 # Every parameter some builtin takes, in the order the builtins declare them.
 _BUILDER_PARAMS = tuple(dict.fromkeys(
-    name for _, defaults in BUILTIN_SCENARIOS.values() for name in defaults))
+    name for builder in BUILTIN_SCENARIOS.values()
+    for name in signature(builder).parameters))
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:

@@ -178,14 +178,14 @@ class _Column(Sequence):
 class PreparedBidders:
     """run_auction's setup of one bidder list and the owner of its caches,
     shared by its auctions in one process (a Scenario keeps one for its
-    lifetime); one that run_auction builds for a single call keeps no
-    segments. Per bidder: value table, decision memo, the last-bid bits
-    a memo key keeps, and propose; max_rounds is the default round
-    budget. Raises as common_universe and value_table do. A memo maps
-    (own set, prices, last bid minus own set or 0) to the rule's bid; it
-    is None for a rule that is not memoised (see Strategy.depends_on),
-    and one dict serves all bidders with one valuation object and equal
-    rules.
+    lifetime); its segments serve only untraced runs, and one that
+    run_auction builds for a single call keeps none. Per bidder: value
+    table, decision memo, the last-bid bits a memo key keeps, and
+    propose; max_rounds is the default round budget. Raises as
+    common_universe and value_table do. A memo maps (own set, prices,
+    last bid minus own set or 0) to the rule's bid; it is None for a rule
+    that is not memoised (see Strategy.depends_on), and one dict serves
+    all bidders with one valuation object and equal rules.
 
     segments is the transition store, None when some rule is not
     memoised. Then each bid is a function of (own set, prices, last bid
@@ -242,9 +242,10 @@ def run_auction(
     Bidder setup and caches are `prepared` if built from these very
     valuations and strategies (run_trials passes Scenario.prepared), else
     a new one, so a call without it reuses nothing from earlier calls and
-    keeps no store: no head recurs within one auction. Each round every
-    strategy sees a BidContext (current prices, own
-    holdings, full histories) and proposes a bid mask. A memoised rule
+    keeps no store: no head recurs within one auction. A traced run keeps
+    no store either, so every record comes from a round it played. Each
+    round every strategy sees a BidContext (current prices, own holdings,
+    full histories) and proposes a bid mask. A memoised rule
     (see PreparedBidders) that has met its key before gets its remembered
     bid instead, without a propose call. A bidder's context is built on
     its first propose and refreshed on each later one; the price table is
@@ -261,16 +262,16 @@ def run_auction(
     of masks. run_trials measures λ this way, with
     oracle.RationalityScan.update as the observer.
 
-    A run of memoised rules with a store jumps over deterministic
-    stretches. A head is round 0 or the round after one that drew. At a
-    head the run looks its start state up in the prepared segments (see
-    PreparedBidders). If a segment is there and its k rows fit (t + k <=
-    max_rounds), the run extends the three histories by the rows, observes
-    and records each jumped round from them as running it would, moves to
-    round t + k, and settles the tail's plan with its own draws: no propose
-    or memo lookup, and the contexts are left as they were. The tail draws
-    or ends the auction, so the next round is a head again. Jumped rounds
-    make no draw, so every outcome and trace byte is that of running them;
+    An untraced run of memoised rules with a store jumps over
+    deterministic stretches. A head is round 0 or the round after one that
+    drew. At a head the run looks its start state up in the prepared
+    segments (see PreparedBidders). If a segment is there and its k rows
+    fit (t + k <= max_rounds), the run extends the three histories by the
+    rows, observes each jumped round from them as running it would, moves
+    to round t + k, and settles the tail's plan with its own draws: no
+    propose or memo lookup, and the contexts are left as they were. The
+    tail draws or ends the auction, so the next round is a head again.
+    Jumped rounds make no draw, so every outcome is that of running them;
     a segment that does not fit runs round by round and diverges at the
     cold round. A head not found is sighted, or marked on its second
     sighting; when the tail of a marked stretch settles, the run stores
@@ -283,12 +284,12 @@ def run_auction(
     bidder's own holdings, and Divergence (carrying the partial outcome)
     if a round at or past max_rounds still demands something.
     """
-    if (prepared is None or prepared.valuations is not valuations
-            or prepared.strategies is not strategies):
+    fresh = (prepared is None or prepared.valuations is not valuations
+             or prepared.strategies is not strategies)
+    if fresh:
         prepared = PreparedBidders(valuations, strategies)
-        segments = None
-    else:
-        segments = prepared.segments
+    # the store serves untraced runs of a prepared, fully memoised list
+    segments = None if fresh or record_trace else prepared.segments
     max_rounds = (prepared.max_rounds if max_rounds is None
                   else require_int("max_rounds", max_rounds, 0))
     n, m = prepared.n, prepared.m
@@ -332,24 +333,15 @@ def run_auction(
                     sightings.add(sighting)
             elif t + len(segment[0]) <= max_rounds:
                 price_rows, held_rows, bid_rows, (bids, plan) = segment
-                k = len(price_rows)
                 price_history.extend(price_rows)
                 held_history.extend(held_rows)
                 bid_history.extend(bid_rows)
-                if observer is not None or records is not None:
-                    for u in range(t, t + k):
-                        prices_after = price_history[u + 1]
-                        held_after = held_history[u + 1]
-                        if observer is not None:
-                            observer(u, prices_after, held_after)
-                        if records is not None:
-                            records.append(_record(
-                                u, price_history[u], bid_history[u],
-                                _plan_round(bid_history[u], held_history[u], m),
-                                prices_after, held_after))
+                if observer is not None:
+                    for u, row in enumerate(zip(price_rows, held_rows), t):
+                        observer(u, *row)
                 current_prices, held = price_history[-1], held_history[-1]
                 prices[:], provisional[:] = current_prices, held
-                t += k
+                t += len(price_rows)
         if plan is None:
             price_sums = None
             proposed = []

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from inspect import signature
 from math import inf
 from typing import Callable, IO, Optional, Sequence, Union
 
@@ -368,14 +369,14 @@ def build_nonsecure_punishment() -> Scenario:
     )
 
 
-BUILTIN_SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict]] = {
-    "bad_pair": (build_bad_pair, {"M": 100}),
-    "truthful_tight": (build_truthful_tight, {"k": 4, "alpha": 3, "L": 60}),
-    "local_tight": (build_local_tight,
-                    {"k": 2, "n": 2, "alpha": 2, "H": 3, "L": 5}),
-    "superadditive": (build_superadditive, {"M": 50}),
-    "lemma4": (build_superadditive, {"M": 50}),
-    "punishment": (build_nonsecure_punishment, {}),
+# A builtin's parameters and their defaults are its builder's signature.
+BUILTIN_SCENARIOS: dict[str, Callable[..., Scenario]] = {
+    "bad_pair": build_bad_pair,
+    "truthful_tight": build_truthful_tight,
+    "local_tight": build_local_tight,
+    "superadditive": build_superadditive,
+    "lemma4": build_superadditive,
+    "punishment": build_nonsecure_punishment,
 }
 
 
@@ -384,14 +385,13 @@ def build_builtin(name: str, **params) -> Scenario:
     if name not in BUILTIN_SCENARIOS:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise ValueError(f"unknown builtin scenario {name!r} (known: {known})")
-    builder, defaults = BUILTIN_SCENARIOS[name]
-    unknown = set(params) - set(defaults)
+    builder = BUILTIN_SCENARIOS[name]
+    unknown = set(params) - set(signature(builder).parameters)
     if unknown:
         raise ValueError(
             f"builtin {name!r} does not take parameter(s) {sorted(unknown)}"
         )
-    merged = {**defaults, **params}
-    return builder(**merged)
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +491,6 @@ class TrialStats:
     optimal: int
     event_names: tuple[str, ...]
     rows: tuple[TrialRow, ...]
-
-    @property
-    def trials(self) -> int:
-        return len(self.rows)
 
     def aggregates(self) -> dict:
         return aggregate_rows(self.rows, self.event_names)

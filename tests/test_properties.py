@@ -870,8 +870,8 @@ def test_run_trials_settles_few_of_the_rounds_it_runs(monkeypatch):
 def test_warm_runs_settle_only_their_tails(monkeypatch):
     # capped runs come first and cut bad_pair's 48- and 97-round stretches,
     # which later runs store whole; once both round-1 heads are stored, a
-    # traced, a quiet and an observed run each settle two tails: round 0's
-    # draw and the last, empty round
+    # quiet and an observed run each settle two tails: round 0's draw and
+    # the last, empty round
     scenario = build_bad_pair(100)
     valuations, strategies = scenario.valuations, scenario.strategies
     warm = PreparedBidders(valuations, strategies)
@@ -880,7 +880,7 @@ def test_warm_runs_settle_only_their_tails(monkeypatch):
         _quiet_result(valuations, strategies, seed, cap, prepared=warm)
     settles = _counting(monkeypatch, "_settle")
     for seed in range(100, 110):
-        for options in ({}, {"record_trace": False},
+        for options in ({"record_trace": False},
                         {"record_trace": False, "observer": lambda *call: 0}):
             del settles[:]
             outcome = run_auction(valuations, strategies, seed,
@@ -1038,7 +1038,8 @@ def test_a_shared_prepared_object_gives_the_fresh_outcomes(monkeypatch, case, ca
     prepared = PreparedBidders(valuations, strategies)
     for seed in range(10):
         # fresh objects: a new setup and empty caches every time; traced
-        # and quiet runs alike fill the memos and the segments
+        # and quiet runs alike fill the memos, and only quiet runs the
+        # segments
         for record_trace in (True, False):
             fresh = _auction_result(*SETUP_CASES[case](), seed,
                                     record_trace=record_trace)
@@ -1197,29 +1198,26 @@ def test_a_stretch_cut_by_a_cap_is_stored_whole_by_a_later_run():
 
 @pytest.mark.parametrize("name", ["bad_pair_100", "truthful_tight",
                                   "local_tight"])
-def test_a_warm_traced_run_jumps_with_the_cold_trace(monkeypatch, name):
-    # 40 seeds see every round-1 head of bad_pair at least twice; the
-    # tight builds store only stretches of k = 0, whose tails still settle
+def test_a_warm_traced_run_plays_every_round(monkeypatch, name):
+    # 40 seeds see every round-1 head of bad_pair at least twice; a traced
+    # run on that warm store neither jumps, sights nor stores, so every
+    # record comes from a round it played
     build = WARM_BUILDS[name]
     valuations, strategies, warm = _warm(build, range(40))
+    store = (dict(warm.segments), warm.segment_rounds, set(warm.sightings))
     settles = _counting(monkeypatch, "_settle")
-    plans = _counting(monkeypatch, "_plan_round")
-    jumped = skipped = 0
-    for seed in range(20, 40):
+    for seed in range(40, 60):
         # cold: one run on a fresh PreparedBidders, which stores nothing
         expected = run_auction(*_bidders(build()), seed)
-        del settles[:], plans[:]
+        del settles[:]
         got = run_auction(valuations, strategies, seed, prepared=warm)
-        settled, planned = len(settles), len(plans)
+        assert len(settles) == got.rounds + 1
         # the same records, so the same trace bytes, and a trace that
         # replays
         assert got == expected
         assert _trace_text(got.records) == _trace_text(expected.records)
         assert replay_trace(got.records).rounds == got.rounds
-        assert settled <= got.rounds + 1 and planned <= got.rounds + 1
-        jumped += settled < got.rounds + 1
-        skipped += planned < got.rounds + 1
-    assert skipped and (jumped or name != "bad_pair_100")
+    assert (warm.segments, warm.segment_rounds, warm.sightings) == store
 
 
 def test_a_warm_observed_run_jumps_with_the_cold_observations(monkeypatch):
