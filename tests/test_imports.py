@@ -1,26 +1,30 @@
-"""Every imported name in the package and its tests is used, every
-private module-level name and private method in the package is
-referenced somewhere in it, only errors.require_int tests whether a
-value is an int, only mechanism._record builds a round's record, each
-valuation form name is written once, on its class's `form =` line,
-per-item sums are walked by hand only in the rationality scan, and the
-reference auction's module, tests/helpers.py, reaches no private name of
-the package and names none of the engine's store.
+"""Every imported name in the package and its tests is used, the package
+imports only the standard library and itself, every private module-level
+name and private method in the package is referenced somewhere in it,
+only errors.require_int tests whether a value is an int, only
+mechanism._record builds a round's record, each valuation form name is
+written once, on its class's `form =` line, per-item sums are walked by
+hand only in the rationality scan, and the reference auction's module,
+tests/helpers.py, reaches no private name of the package and names none
+of the engine's store.
 
 No linter ships with the project, so these scans are the guard: an import
-that nothing references fails here, and so does a `_name` function, class,
-constant or method that no module of the package uses any more, a
-`type(x) is int` or `isinstance(x, bool)` test outside errors.py, or a
-`RoundRecord(...)` or `Draw(...)` call outside mechanism._record and the
-trace reader, or a string literal equal to a valuation form name (such
-as "symmetric_step") anywhere but that line, or a subscript by a low
-bit's index (`w[low.bit_length() - 1]`) or by `mask & (mask - 1)`
-outside RationalityScan._examine. The package's __init__.py is
-exempt from the import scan, since its imports are the public
-re-exports.
+that nothing references fails here, and so does an import of a module
+outside `sys.stdlib_module_names` and smra (the project declares no
+dependencies, so such an import works only where the package happens to
+be installed), a `_name` function, class, constant or method that no
+module of the package uses any more, a `type(x) is int` or
+`isinstance(x, bool)` test outside errors.py, or a `RoundRecord(...)` or
+`Draw(...)` call outside mechanism._record and the trace reader, or a
+string literal equal to a valuation form name (such as "symmetric_step")
+anywhere but that line, or a subscript by a low bit's index
+(`w[low.bit_length() - 1]`) or by `mask & (mask - 1)` outside
+RationalityScan._examine. The package's __init__.py is exempt from the
+unused-import scan, since its imports are the public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,39 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of a module that is neither in the standard
+    library nor smra, in line order; relative imports stay in the
+    package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, f"{name} (line {node.lineno})")
+                  for name in names if name.split(".")[0] != "smra"
+                  and name.split(".")[0] not in sys.stdlib_module_names]
+    return [text for _, text in sorted(found)]
+
+
+def test_scan_sees_a_third_party_import():
+    source = ("import os.path, numpy as np\nfrom . import oracle\n"
+              "from .errors import require_int\nfrom smra.itemsets import x\n"
+              "def f():\n    from scipy.sparse import csr_matrix\n"
+              "    import smra, json, yaml\n")
+    assert foreign_imports(source) == [
+        "numpy (line 1)", "scipy.sparse (line 6)", "yaml (line 7)"]
+    assert foreign_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source: str) -> set[str]:

@@ -20,6 +20,7 @@ from smra import (
     RationalityReport,
     RationalityScan,
     ScriptedStrategy,
+    SymmetricStepValuation,
     TableValuation,
     TruthfulStrategy,
     UniverseMismatch,
@@ -195,6 +196,16 @@ def test_the_supermodularity_check_equals_the_pairwise_definition():
                 row[s | 1 << i | 1 << j] -= 2
                 assert supermodular_negatives(row, m) == [(s, i, j)]
                 assert not _supermodular(row, m)
+
+
+def test_optimal_welfare_at_the_edge_of_its_budget():
+    # 3**16 and 2 * 3**15 are inside the n * 3**m budget: one packed
+    # closure of 65,536 lanes, and a closure of 32,768 lanes whose copy
+    # one supermodularity test of the same packed row stands in for
+    result = optimal_welfare((AdditiveValuation((1,) * 16),))
+    assert (result.welfare, result.assignment) == (16, (0xFFFF,))
+    result = optimal_welfare((SymmetricStepValuation(15, 3, 1),) * 2)
+    assert (result.welfare, result.assignment) == (43, (0x7FFF, 0))
 
 
 def test_oracle_rejects_oversized_instances():

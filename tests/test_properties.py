@@ -1,6 +1,7 @@
 """Property-based invariants: engine rules, analysis oracles, path equality."""
 
 import io
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from helpers import (
     reference_auction,
     reference_measure_rationality,
     reference_optimal_welfare,
+    supermodular_negatives,
     supermodular_values,
 )
 from smra import (
@@ -52,7 +54,7 @@ from smra import (
 from smra import mechanism
 from smra.mechanism import (AuctionOutcome, PreparedBidders, RoundRecord,
                             default_max_rounds)
-from smra.oracle import _subset_max
+from smra.oracle import _subset_max, _supermodular
 from smra.scenarios import (
     TrialRow, build_bad_pair, build_local_tight, build_nonsecure_punishment,
     build_scripted_partition, build_superadditive, build_truthful_tight,
@@ -687,6 +689,62 @@ def _plain_subset_max(table):
 @example([(mask * 37) % 11 - 5 for mask in range(1 << 10)])
 def test_the_subset_max_closure_equals_the_plain_max(table):
     assert _subset_max(table) == _plain_subset_max(table)
+
+
+@st.composite
+def wide_rows(draw):
+    """(row, m): a row over m <= 10 items whose span max - min is 2**t or
+    2**t - 1 for t <= 70, at an offset that keeps every entry in
+    +-2**70, so the packed checks meet lanes filled to the last bit below
+    their spare bits and just past it. Kinds: raw entries (both extremes
+    present), modular rows (every supermodularity term exactly 0) and
+    modular rows with one inner entry moved by 1 (some term -1)."""
+    m = draw(st.integers(1, 10))
+    size = 1 << m
+    t = draw(st.integers(0, 70))
+    span = (1 << t) - draw(st.integers(0, 1))
+    low = draw(st.integers(-(1 << 70), (1 << 70) - span))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.sampled_from(("raw", "modular"))) == "raw":
+        row = [rng.randint(0, span) for _ in range(size)]
+        ends = rng.sample(range(size), 2)
+        row[ends[0]], row[ends[1]] = 0, span
+    else:
+        cuts = sorted(rng.randint(0, span) for _ in range(m - 1))
+        coefs = [(b - a) * rng.choice((-1, 1))
+                 for a, b in zip([0, *cuts], [*cuts, span])]
+        floor = sum(c for c in coefs if c < 0)
+        row = [sum(c for i, c in enumerate(coefs) if s >> i & 1) - floor
+               for s in range(size)]
+        inner = [s for s in range(size) if 0 < row[s] < span]
+        if inner and draw(st.booleans()):
+            row[rng.choice(inner)] += rng.choice((-1, 1))
+    return [low + v for v in row], m
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rows())
+# spans of 63 fill a byte lane up to its 2 spare bits: a modular row, and
+# a second difference of 2 * 63, the widest a byte lane holds
+@example(([0, 63, 0, 63, 0, 63, 0, 63], 3))
+@example(([63, 0, 0, 63], 2))
+# spans of 7 bits, which 1 spare bit would squeeze into byte lanes
+@example(([38, 42, 80, 84, 0, 4, 42, 46], 3))
+@example(([0, 111, 84, 6], 2))
+@example(([-64, -65], 1))
+@example(([5 - (1 << 70)] * 3 + [1 << 70], 2))
+def test_the_packed_verdicts_equal_the_definitions_on_wide_rows(case):
+    row, m = case
+    assert _supermodular(row, m) == (not supermodular_negatives(row, m))
+    assert _subset_max(row) == _plain_subset_max(row)
+
+
+def test_the_packed_verdicts_are_exact_on_every_small_row():
+    # every row over m <= 2 items with entries in {-1, 0, 1}
+    for m in range(3):
+        for row in itertools.product((-1, 0, 1), repeat=1 << m):
+            assert _supermodular(row, m) == (not supermodular_negatives(row, m))
+            assert _subset_max(row) == _plain_subset_max(row)
 
 
 # ---------------------------------------------------------------------------
