@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, repeat
 from math import inf
-from operator import le
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import InvalidAllocation, OracleTooLarge, UniverseMismatch, require_int
 from .itemsets import items_of
@@ -40,13 +38,11 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
 
     DP over (first i bidders, item subset). The forward pass keeps only
     the row of best splits, and each bidder's layer max-plus merges her
-    table into it. Until some layer gains, the row is all zero, so the
-    merge is the subset-max closure max(0, table[s] for nonempty s inside
-    the mask) instead of a 3**m submask scan, exact for any table
-    (_subset_max): the table is packed into one int, one lane per mask,
-    and a table ordered in every item, as every monotone one is, is the
-    closure as it is; otherwise slice sweeps from the first item out of
-    order. Every later layer scans each mask's submasks.
+    table into it. Until some layer gains, the row is all zero, and
+    merging a table that is monotone with value(empty) == 0, as
+    value_table() guarantees, into it gives the table itself, so the first
+    gaining layer is a copy of the table. Every later layer scans each
+    mask's submasks.
 
     A layer that raises no subset's best split is idle, and so is every
     later layer with an equal value table: merging is commutative and
@@ -64,12 +60,10 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     as a candidate, so the row is at least that table on every nonempty
     mask, and best[0] stays 0, so a supermodular row is superadditive:
     table[A] + best[C] <= best[A] + best[C] <= best[A | C] for disjoint A
-    and C, and the copy is idle. This holds for any table, monotone or
-    not. The test runs at most once per row, on the packed row
-    (_supermodular), and a row the closure returned as it is keeps the
-    closure's packing, so each row is packed at most once: copies of a
-    supermodular valuation, as in truthful_tight, cost one packing, the
-    closure's m order checks and one test of m(m-1)/2 lane-wise checks.
+    and C, and the copy is idle. The test (_supermodular) runs at most
+    once per row, only when a copy needs it: copies of a supermodular
+    valuation, as in truthful_tight, cost one packing of the row and one
+    test of m(m-1)/2 lane-wise checks.
 
     Each gaining layer keeps its table and the row before it. From the
     last bidder down, the backtrack rescans that layer's submasks of the
@@ -94,7 +88,6 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     idle: set[int] = set()  # numbers whose layer left best as is
     merged: set[int] = set()  # numbers whose layer raised best
     supermodular = None  # of best, tested on the first copy that needs it
-    lanes = None  # the first layer's packed row: best's while best is its row
     for v in valuations:
         table = v.value_table()
         known = numbered.get(id(table))
@@ -107,15 +100,13 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
             continue
         if number in merged:
             if supermodular is None:
-                supermodular = _supermodular(
-                    lanes if lanes.row is best else best, m)
+                supermodular = _supermodular(best, m)
             if supermodular:
                 idle.add(number)
                 layers.append(None)
                 continue
         if best is zero:
-            lanes = _pack([0, *table[1:]])
-            cur = _subset_max(lanes)
+            cur = list(table)
         else:
             cur = [0] * size
             for mask in range(size):
@@ -156,51 +147,25 @@ def optimal_welfare(valuations: Sequence[Valuation]) -> OptimalAllocation:
     return OptimalAllocation(welfare=best[size - 1], assignment=tuple(assignment))
 
 
-@lru_cache(maxsize=None)
-def _slice_pairs(size: int, bit: int) -> tuple[tuple[slice, slice], ...]:
-    """(low, high) slices of a sequence of length size that pair every
-    index s without bit with s | bit: one stride slice pair per value of
-    the bits below bit, or one block pair per run of 2 * bit indices,
-    whichever are fewer.
-
-    Built once per (size, bit) and shared by every closure that sweeps,
-    hence a tuple; size and bit are powers of two no larger than
-    2**TABLE_LIMIT, so the cache stays a few hundred entries at most.
-    """
-    step = 2 * bit
-    if bit < size // step:
-        return tuple((slice(r, None, step), slice(r + bit, None, step))
-                     for r in range(bit))
-    return tuple((slice(lo, lo + bit), slice(lo + bit, lo + step))
-                 for lo in range(0, size, step))
-
-
-class _Lanes(NamedTuple):
-    """A row packed into one int, one lane of w = 8 * width bits per mask:
-    lane s, bits w * s to w * s + w - 1, holds row[s] - min(row).
+def _pack(row: Sequence[int]) -> tuple[int, int]:
+    """(packed, width): row packed into one int, one lane of w = 8 * width
+    bits per mask, lane s (bits w * s to w * s + w - 1) holding
+    row[s] - min(row); int.from_bytes over the entries' little-endian
+    to_bytes, so lane 0 is least significant.
 
     Lane width rule: the fewest whole bytes that leave 2 spare bits above
     the largest lane M, so M < 2**(w - 2) = HALF and TOP = 2 * HALF is
-    the lane's top bit. The checks below add and subtract whole packed
-    ints; each is exact lane by lane, with no borrow or carry from one
-    lane into the next, as long as every lane of every result lies in
-    [0, 2**w), which the ranges they state show.
+    the lane's top bit. _supermodular adds and subtracts whole packed
+    ints; each step is exact lane by lane, with no borrow or carry from
+    one lane into the next, as long as every lane of every result lies in
+    [0, 2**w), which the ranges it states show.
     """
-
-    row: Sequence[int]
-    packed: int
-    width: int
-
-
-def _pack(row: Sequence[int]) -> _Lanes:
-    """The lanes of row, which keep row itself: int.from_bytes over the
-    entries' little-endian to_bytes, so lane 0 is least significant."""
     low = min(row)
     width = ((max(row) - low).bit_length() + 9) // 8
     entries = [v - low for v in row] if low else row
     packed = int.from_bytes(b"".join(map(
         int.to_bytes, entries, repeat(width), repeat("little"))), "little")
-    return _Lanes(row, packed, width)
+    return packed, width
 
 
 def _lane_bits(unit: bytes, size: int, bit: int) -> int:
@@ -212,63 +177,22 @@ def _lane_bits(unit: bytes, size: int, bit: int) -> int:
                           * (size // (2 * bit)), "little")
 
 
-def _subset_max(table: Union[Sequence[int], _Lanes]) -> list[int]:
-    """max(0, table[s] for nonempty s inside mask), for every mask.
-
-    One sweep per bit: each mask holding bit takes the max of itself and
-    mask ^ bit, so after the sweeps of bits 0..i a mask has seen every
-    submask that differs from it only there. A table is packed with its
-    empty-set entry set to 0; lanes are taken as given. A sweep writes
-    nothing while the row is ordered in its bit, so the closure first
-    finds the first bit out of order on the packed row: lane s of
-    D = (P >> w * bit) + (HALF - P) is HALF + row[s | bit] - row[s] for
-    every s without bit (other lanes meet a later entry, or 0 past the
-    end), in [HALF - M, HALF + M], inside [1, TOP), so its bit w - 2 is
-    set exactly when row[s | bit] >= row[s]. A row ordered in every bit,
-    as every monotone table is, is the closure: it is returned as is, the
-    lanes' own list. Otherwise the slice pairs are swept from that bit
-    on, each pair compared in one pass and written only if out of order.
-    """
-    lanes = table if isinstance(table, _Lanes) else _pack([0, *table[1:]])
-    row, packed, width = lanes
-    size, w = len(row), 8 * width
-    half = bytes(width - 1) + b"\x40"  # one lane holding HALF
-    rest = int.from_bytes(half * size, "little") - packed  # HALF - row[s]
-    bit = 1
-    while bit < size:
-        ordered = _lane_bits(half, size, bit)
-        if ((packed >> w * bit) + rest) & ordered != ordered:
-            break
-        bit <<= 1
-    else:
-        return row
-    cur = list(row)
-    while bit < size:
-        for low, high in _slice_pairs(size, bit):
-            below, above = cur[low], cur[high]
-            if not all(map(le, below, above)):
-                cur[high] = list(map(max, below, above))
-        bit <<= 1
-    return cur
-
-
-def _supermodular(row: Union[Sequence[int], _Lanes], m: int) -> bool:
+def _supermodular(row: Sequence[int], m: int) -> bool:
     """Whether row[S|i|j] - row[S|i] - row[S|j] + row[S] >= 0 for all items
     i < j outside S: item i's marginal d_i[S] = row[S|i] - row[S] never
     falls as a later item j joins S.
 
-    Runs on the packed row (lanes as given, or a row packed here), every
-    mask at once. For each i, lane s of D = (P >> w * 2**i) + (HALF - P)
-    is HALF + d_i[s] and lane s of F = (P + HALF) - (P >> w * 2**i) is
-    TOP - (HALF + d_i[s]), both in [HALF - M, HALF + M], inside [1, TOP);
-    a lane whose mask holds i meets a later entry, or 0 past the end, in
-    the same range. For each j > i, each lane of (D >> w * 2**j) + F is a
-    lane of D, or 0 past the end, plus one of F, so inside [1, 2**w). For
-    s holding neither i nor j, the only lanes read, it is
-    TOP + d_i[s | j] - d_i[s], whose top bit is set exactly when
-    d_i[s | j] >= d_i[s].
+    Packs the row (_pack) and tests every mask at once. For each i, lane s
+    of D = (P >> w * 2**i) + (HALF - P) is HALF + d_i[s] and lane s of
+    F = (P + HALF) - (P >> w * 2**i) is TOP - (HALF + d_i[s]), both in
+    [HALF - M, HALF + M], inside [1, TOP); a lane whose mask holds i meets
+    a later entry, or 0 past the end, in the same range. For each j > i,
+    each lane of (D >> w * 2**j) + F is a lane of D, or 0 past the end,
+    plus one of F, so inside [1, 2**w). For s holding neither i nor j, the
+    only lanes read, it is TOP + d_i[s | j] - d_i[s], whose top bit is set
+    exactly when d_i[s | j] >= d_i[s].
     """
-    row, packed, width = row if isinstance(row, _Lanes) else _pack(row)
+    packed, width = _pack(row)
     size, w = len(row), 8 * width
     top = bytes(width - 1) + b"\x80"  # one lane holding TOP
     tops = [_lane_bits(top, size, 1 << i) for i in range(m)]
@@ -317,8 +241,8 @@ class RationalityReport:
     witness / witness_full -- (round, bidder, items) achieving the max.
     """
 
-    lam: Union[Fraction, float]
-    lam_full: Union[Fraction, float]
+    lam: Fraction | float
+    lam_full: Fraction | float
     witness: Optional[tuple[int, int, tuple[int, ...]]]
     witness_full: Optional[tuple[int, int, tuple[int, ...]]]
 

@@ -38,7 +38,14 @@ TABLE_LIMIT = 20
 
 
 class Valuation(ABC):
-    """A monotone integer set function with value(empty) == 0."""
+    """A monotone integer set function with value(empty) == 0.
+
+    value_table() is the one gate for that contract: it checks the table
+    once, when it fills its cache, and raises NotMonotone with a witness
+    instead of caching a table that breaks it. Everything downstream (the
+    engine, the oracle, the analysis) reads tables only through it, so a
+    subclass overrides value, never value_table.
+    """
 
     form: str = "abstract"
     # JSON key of each dataclass field whose key is not the field's name
@@ -60,7 +67,9 @@ class Valuation(ABC):
             )
 
     def value_table(self) -> tuple[int, ...]:
-        """All 2**m bundle values, indexed by bitmask. Cached per instance."""
+        """All 2**m bundle values, indexed by bitmask. Cached per instance
+        once checked monotone with value(empty) == 0; a table that is not
+        raises NotMonotone and is not cached."""
         table = getattr(self, "_table", None)
         if table is None:
             m = self.universe_size
@@ -69,6 +78,7 @@ class Valuation(ABC):
                     f"value table for m={m} would need 2**{m} entries"
                 )
             table = tuple(self.value(mask) for mask in range(1 << m))
+            _check_table_monotone(table, m)
             object.__setattr__(self, "_table", table)
         return table
 
@@ -123,6 +133,7 @@ class TableValuation(Valuation):
         if n < 2 or n & (n - 1):
             raise ValueError(f"table length must be 2**m with m >= 1, got {n}")
         _check_table_monotone(vals, n.bit_length() - 1)
+        object.__setattr__(self, "_table", vals)  # value_table()'s checked cache
 
     @property
     def universe_size(self) -> int:
@@ -131,9 +142,6 @@ class TableValuation(Valuation):
     def value(self, mask: int) -> int:
         self.check_mask(mask)
         return self.values[mask]
-
-    def value_table(self) -> tuple[int, ...]:
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -392,14 +400,14 @@ def _check_table_monotone(table, m: int) -> None:
 def degree_of_submodularity(valuation: Valuation) -> SubmodularityReport:
     """Exact degree of submodularity, with a minimizing witness.
 
-    Checks that the table is monotone, then runs in O(m^2 * 2^m): for each
-    item x a lattice sweep computes, for every context B avoiding x, the
-    smallest marginal of x over all subsets of B, so each (x, B) pair is
-    charged the best strict sub-context without enumerating pairs of sets.
+    Reads the table through value_table(), which refuses a non-monotone
+    one with NotMonotone, then runs in O(m^2 * 2^m): for each item x a
+    lattice sweep computes, for every context B avoiding x, the smallest
+    marginal of x over all subsets of B, so each (x, B) pair is charged
+    the best strict sub-context without enumerating pairs of sets.
     """
     m = valuation.universe_size
     table = valuation.value_table()
-    _check_table_monotone(table, m)
     best_num = best_den = 0  # ratio best_num / best_den; den == 0 <=> unset
     best_witness = None
     size = 1 << m

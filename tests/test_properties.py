@@ -36,6 +36,7 @@ from smra import (
     SymmetricStepValuation,
     TableValuation,
     TruthfulStrategy,
+    UnitDemandValuation,
     degree_of_submodularity,
     is_alpha_near_submodular,
     is_locally_optimal,
@@ -54,13 +55,12 @@ from smra import (
 from smra import mechanism
 from smra.mechanism import (AuctionOutcome, PreparedBidders, RoundRecord,
                             default_max_rounds)
-from smra.oracle import _subset_max, _supermodular
+from smra.oracle import _supermodular
 from smra.scenarios import (
     TrialRow, build_bad_pair, build_local_tight, build_nonsecure_punishment,
     build_scripted_partition, build_superadditive, build_truthful_tight,
     derive_seed,
 )
-from smra.valuations import Valuation
 
 
 @st.composite
@@ -575,120 +575,42 @@ def repeated_valuations(draw):
     return tuple(copies)
 
 
+@st.composite
+def zero_led_valuations(draw):
+    """Idle all-zero tables first, so the first gaining layer comes late,
+    then draws from a few tables, repeats included."""
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(base_valuations(m), min_size=1, max_size=3))
+    zeros = (TableValuation((0,) * (1 << m)),) * draw(st.integers(0, 3))
+    return zeros + tuple(draw(st.lists(st.sampled_from(pool),
+                                       min_size=1, max_size=5)))
+
+
 _COPIED = (0, 2, 0, 3, 2, 2, 4, 5)  # m = 3; a second copy still gains
 
 
-@settings(max_examples=120, deadline=None)
-@given(repeated_valuations())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(repeated_valuations(), zero_led_valuations()))
 # layers: copy 1 and 2 gain, copy 3 is idle, the interleaved table gains,
 # copy 4 stays idle; skipping every repeat of a table loses welfare 1
 @example((TableValuation(_COPIED),) * 3
          + (TableValuation((0, 1, 2, 3, 0, 1, 3, 3)), TableValuation(_COPIED)))
-# the closure row is the additive table, so supermodular: its equal table
+# the first row is the additive table, so supermodular: its equal table
 # is idle without a scan; the first _COPIED layer leaves a row that is
 # not, so the second must be scanned, and it gains
 @example((AdditiveValuation((0, 0, 1)),
           TableValuation((0, 0, 0, 0, 1, 1, 1, 1)),
           TableValuation(_COPIED), TableValuation(_COPIED)))
+# after an idle zero table, a copy gains on the unit-demand row; the
+# descending rescan meets {1} before {0} at 4, so the backtrack must
+# keep {1} for the copy and leave {0} to the first
+@example((TableValuation((0, 0, 0, 0)), UnitDemandValuation((2, 2)),
+          UnitDemandValuation((2, 2))))
 def test_optimal_welfare_equals_the_plain_dp(valuations):
     result = optimal_welfare(valuations)
     assert (result.welfare, result.assignment) == reference_optimal_welfare(
         valuations
     )
-
-
-class _RawTable(Valuation):
-    """Any integer table, for the oracle only: not monotone, and the empty
-    bundle may be worth more than zero."""
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.values).bit_length() - 1
-
-    def value(self, mask: int) -> int:
-        return self.values[mask]
-
-    def spec_dict(self) -> dict:
-        return {"form": "raw", "values": list(self.values)}
-
-
-@st.composite
-def raw_valuations(draw):
-    """Idle all-zero tables first, so the subset-max closure runs late,
-    then draws from a few raw tables, repeats included. A raw table is
-    any table of small values, or a supermodular one whose modular terms
-    and empty-bundle value may be negative."""
-    m = draw(st.integers(1, 5))
-    size = 1 << m
-    tables = st.lists(st.integers(0, 6), min_size=size, max_size=size)
-    supermodular = st.builds(
-        supermodular_values, st.just(m), supermodular_weights(m),
-        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
-        st.integers(-3, 3))
-    pool = draw(st.lists(st.one_of(tables, supermodular).map(_RawTable),
-                         min_size=1, max_size=3))
-    zeros = (_RawTable((0,) * size),) * draw(st.integers(0, 3))
-    return zeros + tuple(draw(st.lists(st.sampled_from(pool),
-                                       min_size=1, max_size=5)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(raw_valuations())
-# the first gaining table is worth 2 at {0} and at {1}, 1 at {0, 1}: the
-# descending rescan meets {1} before {0}, so the backtrack must keep {1}
-@example((_RawTable((0, 0, 0, 0)), _RawTable((0, 2, 2, 1))))
-# the closure row (0, 2, 0, 2) is supermodular though the table is not
-# monotone and its empty bundle is worth 3: the copy is idle without a scan
-@example((_RawTable((3, 2, 0, 1)),) * 2)
-def test_optimal_welfare_equals_the_plain_dp_on_raw_tables(valuations):
-    result = optimal_welfare(valuations)
-    assert (result.welfare, result.assignment) == reference_optimal_welfare(
-        valuations
-    )
-
-
-@st.composite
-def closure_tables(draw):
-    """2**m values, m <= 10: raw (any sign, the empty bundle included),
-    monotone, so every slice pair is already ordered, or monotone with a
-    few entries moved, so some pairs are and some are not."""
-    m = draw(st.integers(1, 10))
-    size = 1 << m
-    rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(("raw", "monotone", "moved")))
-    if kind == "raw":
-        return [rng.randint(-6, 6) for _ in range(size)]
-    weights = [(rng.randrange(1, size), rng.randint(0, 3)) for _ in range(m)]
-    modular = [rng.randint(0, 3) for _ in range(m)]
-    table = list(supermodular_values(m, weights, modular))
-    if kind == "moved":
-        for _ in range(rng.randint(1, 4)):
-            table[rng.randrange(size)] += rng.randint(-5, 5)
-    return table
-
-
-def _plain_subset_max(table):
-    out = []
-    for mask in range(len(table)):
-        top = 0
-        sub = mask
-        while sub:
-            top = max(top, table[sub])
-            sub = (sub - 1) & mask
-        out.append(top)
-    return out
-
-
-@settings(max_examples=80, deadline=None)
-@given(closure_tables())
-# m = 1 has only a block pair; m = 10 sweeps 5 stride and 5 block bits
-@example([3, -2])
-@example([(mask * 37) % 11 - 5 for mask in range(1 << 10)])
-def test_the_subset_max_closure_equals_the_plain_max(table):
-    assert _subset_max(table) == _plain_subset_max(table)
 
 
 @st.composite
@@ -736,7 +658,6 @@ def wide_rows(draw):
 def test_the_packed_verdicts_equal_the_definitions_on_wide_rows(case):
     row, m = case
     assert _supermodular(row, m) == (not supermodular_negatives(row, m))
-    assert _subset_max(row) == _plain_subset_max(row)
 
 
 def test_the_packed_verdicts_are_exact_on_every_small_row():
@@ -744,7 +665,6 @@ def test_the_packed_verdicts_are_exact_on_every_small_row():
     for m in range(3):
         for row in itertools.product((-1, 0, 1), repeat=1 << m):
             assert _supermodular(row, m) == (not supermodular_negatives(row, m))
-            assert _subset_max(row) == _plain_subset_max(row)
 
 
 # ---------------------------------------------------------------------------

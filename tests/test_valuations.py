@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 from fractions import Fraction
 from math import inf
 
@@ -16,12 +17,15 @@ from smra import (
     SymmetricStepValuation,
     TableValuation,
     TargetPairValuation,
+    TruthfulStrategy,
     UnitDemandValuation,
     UniverseMismatch,
     Valuation,
     degree_of_submodularity,
     is_alpha_near_submodular,
+    optimal_welfare,
     random_near_submodular,
+    run_auction,
     valuation_from_spec,
 )
 from smra import valuations
@@ -124,6 +128,40 @@ def test_value_table_budget():
     # 2**21 entries is looked at (so these need not be valid values)
     with pytest.raises(OracleTooLarge):
         TableValuation(("x",) * (1 << 21))
+
+
+class _Listed(Valuation):
+    """A custom valuation reading a list, held to the contract only by
+    value_table()."""
+
+    def __init__(self, values):
+        self.values = values
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.values).bit_length() - 1
+
+    def value(self, mask: int) -> int:
+        return self.values[mask]
+
+
+@pytest.mark.parametrize("values,witness", [
+    ((0, 2, 2, 1), "not monotone: v(0x3) = 1 < v(0x2) = 2"),
+    ((3, 3, 3, 3), "value of the empty bundle must be 0, got 3"),
+], ids=["dips", "empty_worth_3"])
+def test_every_reader_refuses_a_table_outside_the_contract(values, witness):
+    v = _Listed(values)
+    refused = re.escape(witness)
+    for _ in range(2):  # nothing cached, so the second call checks again
+        with pytest.raises(NotMonotone, match=refused):
+            v.value_table()
+    assert "_table" not in vars(v)
+    with pytest.raises(NotMonotone, match=refused):
+        optimal_welfare([v, v])
+    with pytest.raises(NotMonotone, match=refused):
+        run_auction([v], [TruthfulStrategy()], seed=0)
+    with pytest.raises(NotMonotone, match=refused):
+        degree_of_submodularity(v)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +321,8 @@ def test_degree_matches_naive_enumeration():
 
 def test_degree_rejects_non_monotone_table():
     class Broken(AdditiveValuation):
-        def value_table(self):
-            return (0, 2, 1, 1)
+        def value(self, mask):
+            return (0, 2, 1, 1)[mask]
 
     with pytest.raises(NotMonotone):
         degree_of_submodularity(Broken((1, 1)))
